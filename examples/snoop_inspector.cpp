@@ -74,7 +74,7 @@ int emit_jsonl(const std::string& path) {
                 record->direction == hci::Direction::kControllerToHost ? "c2h" : "h2c",
                 h4_type_name(record->wire), record->orig_len, record->wire.size(),
                 record->payload_truncated() ? "true" : "false",
-                obs::json_escape(desc).c_str());
+                json_escape(desc).c_str());
   }
   if (!cursor->fault().ok()) {
     std::fprintf(stderr, "error: %s: %s (after %zu record(s))\n", path.c_str(),

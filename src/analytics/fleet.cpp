@@ -1,45 +1,16 @@
 #include "analytics/fleet.hpp"
 
 #include <algorithm>
-#include <atomic>
-#include <cstdarg>
-#include <cstdio>
 #include <filesystem>
 #include <fstream>
-#include <thread>
 #include <utility>
 
 #include "analytics/mapped_file.hpp"
 #include "campaign/campaign.hpp"
+#include "common/log.hpp"
 
 namespace blap::analytics {
 namespace {
-
-void append_fmt(std::string& out, const char* fmt, ...)
-    __attribute__((format(printf, 2, 3)));
-
-void append_fmt(std::string& out, const char* fmt, ...) {
-  char buf[256];
-  va_list args;
-  va_start(args, fmt);
-  va_list args_copy;
-  va_copy(args_copy, args);
-  const int n = std::vsnprintf(buf, sizeof buf, fmt, args);
-  va_end(args);
-  if (n < 0) {
-    va_end(args_copy);
-    return;
-  }
-  if (static_cast<std::size_t>(n) < sizeof buf) {
-    va_end(args_copy);
-    out.append(buf, static_cast<std::size_t>(n));
-    return;
-  }
-  std::vector<char> big(static_cast<std::size_t>(n) + 1);
-  std::vsnprintf(big.data(), big.size(), fmt, args_copy);
-  va_end(args_copy);
-  out.append(big.data(), static_cast<std::size_t>(n));
-}
 
 void append_double(std::string& out, double v) { append_fmt(out, "%.6f", v); }
 
@@ -230,28 +201,13 @@ FleetReport analyze_files(std::vector<std::string> paths, const FleetConfig& con
   });
 
   std::vector<FileReport> slots(paths.size());
-  const unsigned jobs = paths.empty()
-                            ? 1
-                            : std::min<unsigned>(campaign::resolve_jobs(config.jobs),
-                                                 static_cast<unsigned>(paths.size()));
-  std::atomic<std::size_t> next{0};
-  auto worker = [&] {
-    // One detector set per worker, reused file to file (finish() resets).
-    auto detectors = make_default_detectors(config.detectors);
-    for (;;) {
-      const std::size_t i = next.fetch_add(1);
-      if (i >= paths.size()) break;
-      slots[i] = analyze_file(paths[i], detectors);
-    }
-  };
-  if (jobs <= 1) {
-    worker();
-  } else {
-    std::vector<std::thread> pool;
-    pool.reserve(jobs);
-    for (unsigned t = 0; t < jobs; ++t) pool.emplace_back(worker);
-    for (auto& thread : pool) thread.join();
-  }
+  // One detector set per worker, reused file to file (finish() resets).
+  campaign::run_indexed(
+      paths.size(), campaign::resolve_jobs(config.jobs),
+      [&] { return make_default_detectors(config.detectors); },
+      [&](std::vector<std::unique_ptr<Detector>>& detectors, std::size_t i) {
+        slots[i] = analyze_file(paths[i], detectors);
+      });
 
   FleetReport report;
   for (const auto& name : default_detector_names())
@@ -349,11 +305,11 @@ std::string FleetReport::to_json() const {
   for (std::size_t i = 0; i < files.size(); ++i) {
     const FileReport& file = files[i];
     out += "    {";
-    append_fmt(out, "\"name\": \"%s\", ", obs::json_escape(file.name).c_str());
+    append_fmt(out, "\"name\": \"%s\", ", json_escape(file.name).c_str());
     append_fmt(out, "\"opened\": %s, ", file.opened ? "true" : "false");
     append_fmt(out, "\"bytes\": %zu, \"records\": %zu", file.bytes, file.records);
     if (!file.fault.ok())
-      append_fmt(out, ", \"fault\": \"%s\"", obs::json_escape(file.fault.describe()).c_str());
+      append_fmt(out, ", \"fault\": \"%s\"", json_escape(file.fault.describe()).c_str());
     if (file.findings.empty()) {
       out += ", \"findings\": []";
     } else {
@@ -364,7 +320,7 @@ std::string FleetReport::to_json() const {
                    f.detector.c_str(), f.frame,
                    static_cast<unsigned long long>(f.ts_us));
         append_fmt(out, "\"peer\": \"%s\", \"detail\": \"%s\"}",
-                   f.peer.to_string().c_str(), obs::json_escape(f.detail).c_str());
+                   f.peer.to_string().c_str(), json_escape(f.detail).c_str());
         out += (j + 1 < file.findings.size()) ? ",\n" : "\n    ";
       }
       out += "]";

@@ -4,10 +4,12 @@
 #include <atomic>
 #include <chrono>
 #include <cmath>
-#include <cstdarg>
-#include <cstdio>
 #include <cstdlib>
+#include <exception>
+#include <mutex>
 #include <thread>
+
+#include "common/log.hpp"
 
 namespace blap::campaign {
 namespace {
@@ -17,34 +19,6 @@ using Clock = std::chrono::steady_clock;
 std::uint64_t elapsed_ns(Clock::time_point from, Clock::time_point to) {
   return static_cast<std::uint64_t>(
       std::chrono::duration_cast<std::chrono::nanoseconds>(to - from).count());
-}
-
-void append_fmt(std::string& out, const char* fmt, ...)
-    __attribute__((format(printf, 2, 3)));
-
-void append_fmt(std::string& out, const char* fmt, ...) {
-  char buf[256];
-  va_list args;
-  va_start(args, fmt);
-  va_list args_copy;
-  va_copy(args_copy, args);
-  const int n = std::vsnprintf(buf, sizeof buf, fmt, args);
-  va_end(args);
-  if (n < 0) {
-    va_end(args_copy);
-    return;
-  }
-  if (static_cast<std::size_t>(n) < sizeof buf) {
-    va_end(args_copy);
-    out.append(buf, static_cast<std::size_t>(n));
-    return;
-  }
-  // The stack buffer clipped the output (long campaign labels); reformat
-  // into an exactly-sized heap buffer instead of truncating silently.
-  std::vector<char> big(static_cast<std::size_t>(n) + 1);
-  std::vsnprintf(big.data(), big.size(), fmt, args_copy);
-  va_end(args_copy);
-  out.append(big.data(), static_cast<std::size_t>(n));
 }
 
 /// Shortest %.17g-style representation that still round-trips is overkill
@@ -210,7 +184,50 @@ std::string CampaignSummary::timing_report() const {
   return out;
 }
 
+namespace detail {
+
+bool IndexCursor::next(std::size_t& i) {
+  i = next_.fetch_add(1, std::memory_order_relaxed);
+  return i < n_;
+}
+
+void run_workers(unsigned workers, const std::function<void()>& worker) {
+  if (workers == 1) {
+    worker();
+    return;
+  }
+  // An exception escaping a worker is rethrown here once every worker has
+  // joined — as it propagates at one worker — instead of ending the program.
+  std::mutex failure_mu;
+  std::exception_ptr failure;
+  const auto guarded = [&] {
+    try {
+      worker();
+    } catch (...) {
+      const std::lock_guard<std::mutex> lock(failure_mu);
+      if (!failure) failure = std::current_exception();
+    }
+  };
+  std::vector<std::thread> threads;
+  threads.reserve(workers);
+  try {
+    for (unsigned t = 0; t < workers; ++t) threads.emplace_back(guarded);
+  } catch (...) {
+    for (std::thread& t : threads) t.join();
+    throw;
+  }
+  for (std::thread& t : threads) t.join();
+  if (failure) std::rethrow_exception(failure);
+}
+
+}  // namespace detail
+
 CampaignSummary run_campaign(const CampaignConfig& config, const TrialFn& fn) {
+  // std::cref: every worker calls the caller's `fn` itself, not a copy.
+  return run_campaign(config, WorkerTrialFactory([&fn] { return TrialFn(std::cref(fn)); }));
+}
+
+CampaignSummary run_campaign(const CampaignConfig& config, const WorkerTrialFactory& make_trial) {
   CampaignSummary summary;
   summary.label = config.label;
   summary.root_seed = config.root_seed;
@@ -218,39 +235,21 @@ CampaignSummary run_campaign(const CampaignConfig& config, const TrialFn& fn) {
   if (config.trials == 0) return summary;
 
   const SeedFn& derive = config.seed_fn ? config.seed_fn : SeedFn(trial_seed);
-  const unsigned jobs = std::max(
-      1u, std::min(resolve_jobs(config.jobs),
-                   static_cast<unsigned>(std::min<std::size_t>(
-                       config.trials, 1u << 16))));
-  summary.jobs_used = jobs;
-
   summary.results.assign(config.trials, TrialResult{});
-  std::atomic<std::size_t> next{0};
-
-  auto worker = [&] {
-    for (;;) {
-      const std::size_t i = next.fetch_add(1, std::memory_order_relaxed);
-      if (i >= config.trials) break;
-      TrialSpec spec{i, derive(config.root_seed, i)};
-      const auto t0 = Clock::now();
-      TrialResult r = fn(spec);
-      const auto t1 = Clock::now();
-      r.index = spec.index;
-      r.seed = spec.seed;
-      r.wall_ns = elapsed_ns(t0, t1);
-      summary.results[i] = std::move(r);
-    }
-  };
 
   const auto batch_start = Clock::now();
-  if (jobs == 1) {
-    worker();
-  } else {
-    std::vector<std::thread> threads;
-    threads.reserve(jobs);
-    for (unsigned t = 0; t < jobs; ++t) threads.emplace_back(worker);
-    for (std::thread& t : threads) t.join();
-  }
+  summary.jobs_used = run_indexed(
+      config.trials, std::min(resolve_jobs(config.jobs), 1u << 16), make_trial,
+      [&](TrialFn& trial, std::size_t i) {
+        TrialSpec spec{i, derive(config.root_seed, i)};
+        const auto t0 = Clock::now();
+        TrialResult r = trial(spec);
+        const auto t1 = Clock::now();
+        r.index = spec.index;
+        r.seed = spec.seed;
+        r.wall_ns = elapsed_ns(t0, t1);
+        summary.results[i] = std::move(r);
+      });
   summary.wall_total_ns = elapsed_ns(batch_start, Clock::now());
 
   // Sequential, index-ordered aggregation: deterministic for any `jobs`.

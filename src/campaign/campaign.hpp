@@ -9,7 +9,8 @@
 //     by default a SplitMix64 stream — so no trial ever observes which
 //     thread or in which order it ran;
 //   * trials write into a pre-sized results vector at their own index;
-//     workers share nothing else but an atomic "next trial" counter;
+//     workers share nothing else but an atomic "next trial" counter (the
+//     index-slot contract of run_indexed, the repo's one executor);
 //   * aggregation (success counts, Wilson 95% CI, virtual-time histogram,
 //     JSON/CSV emit) runs sequentially over the index-ordered results, so
 //     the aggregate output is a pure function of the root seed.
@@ -19,6 +20,8 @@
 // byte-identical across re-runs and across BLAP_JOBS settings.
 #pragma once
 
+#include <algorithm>
+#include <atomic>
 #include <cstdint>
 #include <functional>
 #include <memory>
@@ -42,6 +45,50 @@ std::uint64_t trial_seed(std::uint64_t root_seed, std::uint64_t index);
 /// Worker count resolution: explicit request > BLAP_JOBS env >
 /// hardware_concurrency (min 1).
 unsigned resolve_jobs(unsigned requested = 0);
+
+namespace detail {
+
+/// Hands out each index in [0, n) exactly once across threads.
+class IndexCursor {
+ public:
+  explicit IndexCursor(std::size_t n) : n_(n) {}
+  /// Claims the next unclaimed index into `i`; false once all are claimed.
+  bool next(std::size_t& i);
+
+ private:
+  std::atomic<std::size_t> next_{0};
+  std::size_t n_;
+};
+
+/// Runs `worker` on `workers` threads and joins them; inline on the calling
+/// thread when `workers` is 1. The first exception a worker throws is
+/// rethrown on the calling thread after every worker has joined.
+void run_workers(unsigned workers, const std::function<void()>& worker);
+
+}  // namespace detail
+
+/// The repo's one executor: calls `fn(state, i)` once for every i in
+/// [0, n) across min(max(jobs, 1), n) workers and returns that worker
+/// count (0 when n is 0). The contract every caller builds on:
+///   * index slots — `fn` writes its result at slot i and the caller merges
+///     in index order, so output never depends on which worker ran what;
+///   * per-worker state — `make_worker_state()` runs once per worker, on
+///     that worker's thread, and the state dies when the worker finishes;
+///   * inline at jobs == 1 — no thread is spawned, so thread-local caches
+///     on the calling thread (the Scheduler's StoragePool) stay warm.
+/// An exception from `fn` or `make_worker_state` reaches the caller at any
+/// worker count; the other workers still drain their indices first.
+template <typename MakeState, typename Fn>
+unsigned run_indexed(std::size_t n, unsigned jobs, MakeState&& make_worker_state, Fn&& fn) {
+  if (n == 0) return 0;
+  const auto workers = static_cast<unsigned>(std::min<std::size_t>(std::max(jobs, 1u), n));
+  detail::IndexCursor cursor(n);
+  detail::run_workers(workers, [&] {
+    auto state = make_worker_state();
+    for (std::size_t i = 0; cursor.next(i);) fn(state, i);
+  });
+  return workers;
+}
 
 /// One trial's identity, handed to the trial function.
 struct TrialSpec {
@@ -68,6 +115,10 @@ struct TrialResult {
 };
 
 using TrialFn = std::function<TrialResult(const TrialSpec&)>;
+/// Builds one worker's trial body. Called once per worker, on that worker's
+/// thread; whatever the body captures (a warm Scenario, say) is reused
+/// trial to trial on that worker and freed when the campaign returns.
+using WorkerTrialFactory = std::function<TrialFn()>;
 /// Seed derivation hook: (root_seed, index) -> trial seed. The default is
 /// trial_seed(); benches that predate the engine install `root + index` to
 /// stay bit-compatible with their historical sequential seeding.
@@ -143,5 +194,10 @@ struct CampaignSummary {
 /// on distinct TrialSpecs (each trial should build its own Simulation from
 /// spec.seed and share nothing).
 CampaignSummary run_campaign(const CampaignConfig& config, const TrialFn& fn);
+
+/// The same campaign with per-worker trial bodies: each worker runs the
+/// TrialFn that `make_trial` built for it (see WorkerTrialFactory); seeds,
+/// timing and aggregation are exactly run_campaign's.
+CampaignSummary run_campaign(const CampaignConfig& config, const WorkerTrialFactory& make_trial);
 
 }  // namespace blap::campaign

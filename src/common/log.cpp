@@ -1,7 +1,6 @@
 #include "common/log.hpp"
 
 #include <cstdarg>
-#include <vector>
 
 namespace blap {
 
@@ -45,21 +44,63 @@ void Logger::log(LogLevel level, const std::string& component, const std::string
   std::fprintf(stderr, "[%-5s] %-12s %s\n", to_string(level), component.c_str(), msg.c_str());
 }
 
+namespace {
+
+/// Formats into a stack buffer and appends; output that does not fit is
+/// formatted a second time straight into `out`'s own storage.
+void vappend_fmt(std::string& out, const char* fmt, va_list args) {
+  char buf[256];
+  va_list retry;
+  va_copy(retry, args);
+  const int n = std::vsnprintf(buf, sizeof buf, fmt, args);
+  if (n >= 0 && static_cast<std::size_t>(n) < sizeof buf) {
+    out.append(buf, static_cast<std::size_t>(n));
+  } else if (n > 0) {
+    const std::size_t at = out.size();
+    out.resize(at + static_cast<std::size_t>(n) + 1);
+    std::vsnprintf(out.data() + at, static_cast<std::size_t>(n) + 1, fmt, retry);
+    out.resize(at + static_cast<std::size_t>(n));
+  }
+  va_end(retry);
+}
+
+}  // namespace
+
 std::string strfmt(const char* fmt, ...) {
+  std::string out;
   va_list args;
   va_start(args, fmt);
-  va_list args2;
-  va_copy(args2, args);
-  const int n = std::vsnprintf(nullptr, 0, fmt, args);
+  vappend_fmt(out, fmt, args);
   va_end(args);
-  if (n <= 0) {
-    va_end(args2);
-    return {};
+  return out;
+}
+
+void append_fmt(std::string& out, const char* fmt, ...) {
+  va_list args;
+  va_start(args, fmt);
+  vappend_fmt(out, fmt, args);
+  va_end(args);
+}
+
+std::string json_escape(std::string_view s) {
+  std::string out;
+  out.reserve(s.size());
+  for (const char c : s) {
+    switch (c) {
+      case '"': out += "\\\""; break;
+      case '\\': out += "\\\\"; break;
+      case '\n': out += "\\n"; break;
+      case '\r': out += "\\r"; break;
+      case '\t': out += "\\t"; break;
+      default:
+        if (static_cast<unsigned char>(c) < 0x20) {
+          append_fmt(out, "\\u%04x", static_cast<unsigned>(static_cast<unsigned char>(c)));
+        } else {
+          out += c;
+        }
+    }
   }
-  std::vector<char> buf(static_cast<std::size_t>(n) + 1);
-  std::vsnprintf(buf.data(), buf.size(), fmt, args2);
-  va_end(args2);
-  return std::string(buf.data(), static_cast<std::size_t>(n));
+  return out;
 }
 
 }  // namespace blap

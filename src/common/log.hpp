@@ -12,6 +12,7 @@
 #include <memory>
 #include <mutex>
 #include <string>
+#include <string_view>
 
 namespace blap {
 
@@ -53,6 +54,15 @@ class Logger {
 
 /// printf-style formatting into std::string.
 std::string strfmt(const char* fmt, ...) __attribute__((format(printf, 1, 2)));
+
+/// printf-style formatting appended to `out`: the report writers' building
+/// block. Output of any length is kept whole, never truncated.
+void append_fmt(std::string& out, const char* fmt, ...) __attribute__((format(printf, 2, 3)));
+
+/// Escape `s` for embedding inside a JSON string literal: `"` and `\` are
+/// backslash-escaped, `\n` `\r` `\t` use their short forms, and every other
+/// byte below 0x20 becomes `\u00xx`.
+[[nodiscard]] std::string json_escape(std::string_view s);
 
 #define BLAP_LOG(level, component, ...)                                       \
   do {                                                                        \

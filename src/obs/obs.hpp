@@ -60,9 +60,6 @@ enum class Layer : std::uint8_t {
 
 [[nodiscard]] const char* to_string(Layer layer);
 
-/// Escape a string for embedding inside a JSON string literal.
-[[nodiscard]] std::string json_escape(std::string_view s);
-
 /// One recorded event. `phase` is 'i' (instant), 'b' (span begin) or
 /// 'e' (span end); begin/end pairs share a nonzero `span_id`.
 struct TraceEvent {

@@ -20,27 +20,6 @@ const char* to_string(Layer layer) {
   return "?";
 }
 
-std::string json_escape(std::string_view s) {
-  std::string out;
-  out.reserve(s.size());
-  for (const char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\r': out += "\\r"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          out += strfmt("\\u%04x", static_cast<unsigned>(static_cast<unsigned char>(c)));
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
-
 TraceRecorder::TraceRecorder(std::size_t capacity)
     : capacity_(capacity > 0 ? capacity : 1) {}
 

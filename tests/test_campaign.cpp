@@ -3,10 +3,14 @@
 // deterministic JSON/CSV emits the experiment pipeline depends on.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cmath>
 #include <cstdlib>
 #include <limits>
+#include <mutex>
 #include <set>
+#include <stdexcept>
+#include <thread>
 
 #include "campaign/campaign.hpp"
 #include "core/device.hpp"
@@ -123,6 +127,112 @@ TEST(HistogramTest, AllNonFiniteYieldsEmpty) {
   const double nan = std::numeric_limits<double>::quiet_NaN();
   const auto h = make_histogram({nan, nan}, 4);
   EXPECT_TRUE(h.buckets.empty());
+}
+
+// --- run_indexed: the one executor ------------------------------------------
+
+TEST(RunIndexed, VisitsEveryIndexExactlyOnce) {
+  for (const std::size_t n : {0u, 1u, 7u, 1000u}) {
+    for (const unsigned jobs : {1u, 2u, 8u, 64u}) {
+      std::vector<std::atomic<int>> visits(n);
+      const unsigned used = run_indexed(
+          n, jobs, [] { return 0; }, [&](int, std::size_t i) { visits.at(i).fetch_add(1); });
+      EXPECT_EQ(used, static_cast<unsigned>(std::min<std::size_t>(jobs, n)))
+          << "n " << n << ", jobs " << jobs;
+      for (std::size_t i = 0; i < n; ++i)
+        ASSERT_EQ(visits[i].load(), 1) << "index " << i << ", n " << n << ", jobs " << jobs;
+    }
+  }
+}
+
+TEST(RunIndexed, ClampsJobsToTheIndexCount) {
+  std::atomic<unsigned> states{0};
+  std::atomic<unsigned> calls{0};
+  const auto make_state = [&] { return ++states; };
+  const auto count = [&](unsigned, std::size_t) { ++calls; };
+
+  EXPECT_EQ(run_indexed(0, 8, make_state, count), 0u);
+  EXPECT_EQ(states.load(), 0u);  // n == 0: no worker state, no call
+  EXPECT_EQ(calls.load(), 0u);
+
+  EXPECT_EQ(run_indexed(3, 64, make_state, count), 3u);
+  EXPECT_LE(states.load(), 3u);
+  EXPECT_EQ(calls.load(), 3u);
+
+  states = 0;
+  EXPECT_EQ(run_indexed(5, 0, make_state, count), 1u);  // jobs 0 means one worker
+  EXPECT_EQ(states.load(), 1u);
+}
+
+TEST(RunIndexed, WorkerStateIsBuiltOnItsWorkerThreadAndFreedOnReturn) {
+  std::mutex mu;
+  std::set<std::thread::id> builders;
+  std::vector<std::weak_ptr<std::thread::id>> states;
+  std::atomic<bool> foreign_use{false};
+  const unsigned used = run_indexed(
+      400, 8,
+      [&] {
+        auto owner = std::make_shared<std::thread::id>(std::this_thread::get_id());
+        std::lock_guard<std::mutex> lock(mu);
+        EXPECT_TRUE(builders.insert(*owner).second) << "two states built on one thread";
+        states.push_back(owner);
+        return owner;
+      },
+      [&](const std::shared_ptr<std::thread::id>& owner, std::size_t) {
+        if (*owner != std::this_thread::get_id()) foreign_use = true;
+      });
+  EXPECT_EQ(used, 8u);
+  EXPECT_GE(states.size(), 1u);
+  EXPECT_LE(states.size(), 8u);
+  EXPECT_FALSE(foreign_use.load());
+  for (const auto& state : states) EXPECT_TRUE(state.expired());
+}
+
+TEST(RunIndexed, SingleJobRunsInlineOnTheCallingThread) {
+  const std::thread::id caller = std::this_thread::get_id();
+  std::vector<std::thread::id> ran_on;
+  const unsigned used = run_indexed(
+      5, 1, [] { return std::this_thread::get_id(); },
+      [&](std::thread::id built_on, std::size_t) {
+        EXPECT_EQ(built_on, caller);
+        ran_on.push_back(std::this_thread::get_id());
+      });
+  EXPECT_EQ(used, 1u);
+  ASSERT_EQ(ran_on.size(), 5u);
+  for (const std::thread::id id : ran_on) EXPECT_EQ(id, caller);
+}
+
+TEST(RunIndexed, WorkerExceptionReachesTheCaller) {
+  for (const unsigned jobs : {1u, 4u}) {
+    EXPECT_THROW(run_indexed(
+                     50, jobs, [] { return 0; },
+                     [](int, std::size_t i) {
+                       if (i == 17) throw std::runtime_error("index 17");
+                     }),
+                 std::runtime_error)
+        << "jobs " << jobs;
+  }
+}
+
+TEST(Campaign, PerWorkerTrialBodiesMatchTheSharedOne) {
+  CampaignConfig cfg;
+  cfg.label = "per worker";
+  cfg.trials = 40;
+  cfg.root_seed = 21;
+  cfg.jobs = 1;
+  const std::string reference = run_campaign(cfg, rng_trial).to_json(true);
+
+  for (const unsigned jobs : {1u, 4u}) {
+    cfg.jobs = jobs;
+    std::atomic<unsigned> bodies{0};
+    const auto summary = run_campaign(cfg, WorkerTrialFactory([&] {
+                                        ++bodies;
+                                        return TrialFn(rng_trial);
+                                      }));
+    EXPECT_EQ(summary.to_json(true), reference) << "jobs " << jobs;
+    EXPECT_GE(bodies.load(), 1u);
+    EXPECT_LE(bodies.load(), jobs);
+  }
 }
 
 TEST(Campaign, AggregateJsonIsIdenticalForAnyWorkerCount) {

@@ -173,5 +173,21 @@ TEST(ChaosCampaign, BaselineIsCleanAndCoversTheStack) {
   }
 }
 
+// Violation details are free text from the invariant monitor; a tab, a CR
+// or any other control byte must leave the report valid JSON.
+TEST(ChaosCampaign, ReportEscapesControlCharactersInViolations) {
+  campaign::ChaosCampaignReport report;
+  campaign::ChaosTrialRecord rec;
+  rec.outcome = snapshot::ChaosOutcome::kViolation;
+  rec.violations.push_back({"key-plaintext-on-air", "tab\there cr\rhere ctl\x01here", 0});
+  report.trials.push_back(rec);
+
+  const std::string json = report.to_json();
+  EXPECT_NE(json.find("key-plaintext-on-air: tab\\there cr\\rhere ctl\\u0001here"),
+            std::string::npos)
+      << json;
+  for (const char c : json) EXPECT_TRUE(c == '\n' || static_cast<unsigned char>(c) >= 0x20);
+}
+
 }  // namespace
 }  // namespace blap

@@ -76,6 +76,7 @@ TEST(LintFixtures, D4ObsGuardFiresAndHonorsSuppression) { check_fixture("d4_obs.
 TEST(LintFixtures, D5RadioScanFiresAndHonorsSuppression) { check_fixture("d5_radio.cpp"); }
 TEST(LintFixtures, S1SpecFiresAndHonorsSuppression) { check_fixture("s1_spec.cpp"); }
 TEST(LintFixtures, D7FailpointFiresAndHonorsSuppression) { check_fixture("d7_failpoint.cpp"); }
+TEST(LintFixtures, D8ThreadFiresAndHonorsSuppression) { check_fixture("d8_thread.cpp"); }
 
 TEST(Lint, StringLiteralsAndCommentsNeverTrip) {
   const char* src =
@@ -139,9 +140,22 @@ TEST(Lint, D7ScopedToSrcTree) {
   EXPECT_EQ(findings[0].rule, Rule::kD7Failpoint);
 }
 
+TEST(Lint, D8AllowsOnlyTheCampaignPool) {
+  // The one executor may spawn threads; any other src/ or tools/ file may
+  // not. Tests and benches outside those trees drive threads freely.
+  const char* src = "void f() { std::vector<std::thread> pool; }\n";
+  EXPECT_TRUE(blap::lint::lint_file("src/campaign/campaign.cpp", src, Options{}).empty());
+  EXPECT_TRUE(blap::lint::lint_file("tests/test_obs.cpp", src, Options{}).empty());
+  for (const char* path : {"src/analytics/fleet.cpp", "tools/snoopd/main.cpp"}) {
+    const auto findings = blap::lint::lint_file(path, src, Options{});
+    ASSERT_EQ(findings.size(), 1u) << path;
+    EXPECT_EQ(findings[0].rule, Rule::kD8Thread) << path;
+  }
+}
+
 TEST(Lint, RuleMetadataIsConsistent) {
   for (Rule rule : {Rule::kD1Wallclock, Rule::kD2Ordered, Rule::kD3Handle, Rule::kD4ObsGuard,
-                    Rule::kD5RadioScan, Rule::kS1Spec, Rule::kD7Failpoint}) {
+                    Rule::kD5RadioScan, Rule::kS1Spec, Rule::kD7Failpoint, Rule::kD8Thread}) {
     EXPECT_STRNE(blap::lint::rule_id(rule), "?");
     EXPECT_STRNE(blap::lint::rule_tag(rule), "?");
     EXPECT_STRNE(blap::lint::rule_summary(rule), "?");

@@ -294,6 +294,32 @@ TEST(ForkCampaign, MatchesRebuildPathByteForByte) {
   EXPECT_EQ(rebuild.to_json(true), fork.to_json(true));
 }
 
+TEST(ForkCampaign, BackToBackCampaignsShareNoWarmScenario) {
+  // Worker scenarios live only as long as their run_fork_campaign() call:
+  // a second campaign on the same thread, with different parameters, must
+  // still match its own rebuild path — inline (jobs 1) and pooled (jobs 2).
+  for (const unsigned jobs : {1u, 2u}) {
+    for (const std::size_t profile : {std::size_t{5}, std::size_t{1}}) {
+      const ScenarioParams params = abc_params(profile);
+      campaign::CampaignConfig cfg;
+      cfg.label = "back to back";
+      cfg.trials = 6;
+      cfg.root_seed = 1000 + profile;
+      cfg.jobs = jobs;
+
+      const auto rebuild = campaign::run_campaign(cfg, [&](const campaign::TrialSpec& spec) {
+        Scenario s = build_scenario(spec.seed, params);
+        return baseline_body(spec, s);
+      });
+      ForkStats stats;
+      const auto fork = run_fork_campaign(cfg, params, baseline_body, nullptr, &stats);
+      EXPECT_TRUE(stats.fork_used) << stats.fallback_reason;
+      EXPECT_EQ(rebuild.to_json(true), fork.to_json(true))
+          << "jobs " << jobs << ", profile " << profile;
+    }
+  }
+}
+
 TEST(ForkCampaign, WarmSetupSharesAnExpensivePrefix) {
   // Warm-up: bond C to M. The per-trial body then reuses the bond. The fork
   // path must match the rebuild path (build + warm-up + reseed) exactly.

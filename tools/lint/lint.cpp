@@ -435,6 +435,29 @@ void rule_d7(const std::string& path, const Lexed& lx, const Options& options,
   }
 }
 
+// --------------------------------------------------------------------------
+// D8 — one worker pool.
+
+void rule_d8(const std::string& path, const Lexed& lx, const Options& options,
+             std::vector<Finding>& findings) {
+  if (!options.all_rules_everywhere &&
+      ((!path_has(path, "src/") && !path_has(path, "tools/")) ||
+       path_has(path, "src/campaign/campaign.cpp")))
+    return;
+  const auto& t = lx.tokens;
+  for (std::size_t i = 2; i < t.size(); ++i) {
+    if ((t[i].text != "thread" && t[i].text != "jthread") || t[i - 1].text != "::" ||
+        t[i - 2].text != "std")
+      continue;
+    // `std::thread::hardware_concurrency()` or `std::thread::id` makes no thread.
+    if (i + 1 < t.size() && t[i + 1].text == "::") continue;
+    report(findings, lx, Rule::kD8Thread, path, t[i].line,
+           "std::" + t[i].text +
+               " outside src/campaign/campaign.cpp; run the work through "
+               "campaign::run_indexed, the one worker pool");
+  }
+}
+
 }  // namespace
 
 // --------------------------------------------------------------------------
@@ -449,6 +472,7 @@ const char* rule_id(Rule rule) {
     case Rule::kD5RadioScan: return "D5";
     case Rule::kS1Spec: return "S1";
     case Rule::kD7Failpoint: return "D7";
+    case Rule::kD8Thread: return "D8";
   }
   return "?";
 }
@@ -462,6 +486,7 @@ const char* rule_tag(Rule rule) {
     case Rule::kD5RadioScan: return "radio-scan-ok";
     case Rule::kS1Spec: return "spec-ok";
     case Rule::kD7Failpoint: return "failpoint-ok";
+    case Rule::kD8Thread: return "thread-ok";
   }
   return "?";
 }
@@ -483,6 +508,8 @@ const char* rule_summary(Rule rule) {
              "decisions centralized";
     case Rule::kD7Failpoint:
       return "every BLAP_FAILPOINT must sit inside an if condition";
+    case Rule::kD8Thread:
+      return "std::thread only in campaign::run_indexed (src/campaign/campaign.cpp)";
   }
   return "?";
 }
@@ -505,6 +532,7 @@ std::vector<Finding> lint_file(std::string_view path, std::string_view content,
   rule_d5(norm, lx, options, findings);
   rule_s1(norm, lx, options, findings);
   rule_d7(norm, lx, options, findings);
+  rule_d8(norm, lx, options, findings);
   return findings;
 }
 

@@ -37,10 +37,15 @@
 //                   bare-expression passage would count hits while silently
 //                   taking no fault path (the chaos sweep would then
 //                   "explore" an instance that cannot do anything).
+//   D8 thread       no `std::thread`/`std::jthread` (a `std::vector` of them
+//                   included) in src/ or tools/ outside
+//                   src/campaign/campaign.cpp: campaign::run_indexed is the
+//                   one worker pool, and its index-slot contract is what
+//                   keeps every report worker-count independent.
 //
 // Suppression: `// blap-lint: <tag>-ok [justification]` on the offending
 // line or the line directly above. Tags: wallclock-ok, ordered-ok,
-// handle-ok, obs-ok, radio-scan-ok, spec-ok, failpoint-ok. A justification
+// handle-ok, obs-ok, radio-scan-ok, spec-ok, failpoint-ok, thread-ok. A justification
 // is free text; write one.
 //
 // The analyzer is deliberately token-based, not AST-based: it has zero
@@ -63,6 +68,7 @@ enum class Rule {
   kD5RadioScan,
   kS1Spec,
   kD7Failpoint,
+  kD8Thread,
 };
 
 [[nodiscard]] const char* rule_id(Rule rule);        // "D1"

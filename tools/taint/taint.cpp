@@ -11,6 +11,8 @@
 #include <set>
 #include <sstream>
 
+#include "common/log.hpp"
+
 namespace blap::taint {
 namespace {
 
@@ -708,30 +710,6 @@ std::string to_string(const Finding& finding) {
       << finding.message;
   return out.str();
 }
-
-namespace {
-std::string json_escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size() + 2);
-  for (char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char hex[8];
-          std::snprintf(hex, sizeof hex, "\\u%04x", c);
-          out += hex;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
-}  // namespace
 
 std::string report_json(const Report& report) {
   std::ostringstream out;
