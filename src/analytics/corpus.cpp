@@ -12,6 +12,8 @@
 #include "common/log.hpp"
 #include "core/mitigations.hpp"
 #include "core/page_blocking.hpp"
+#include "hci/commands.hpp"
+#include "hci/events.hpp"
 #include "obs/obs.hpp"
 #include "snapshot/scenarios.hpp"
 
@@ -116,14 +118,8 @@ TrialOutput key_sweep_trial(std::uint64_t seed) {
     log.append(record);
     t += 1250;
   };
-  ByteWriter inquiry;
-  inquiry.u8(0x33).u8(0x8b).u8(0x9e);  // GIAC LAP
-  inquiry.u8(8).u8(0);                 // length, unlimited responses
-  add(hci::Direction::kHostToController, hci::make_command(hci::op::kInquiry, inquiry.data()));
-  ByteWriter inquiry_done;
-  inquiry_done.u8(0x00);
-  add(hci::Direction::kControllerToHost,
-      hci::make_event(hci::ev::kInquiryComplete, inquiry_done.data()));
+  add(hci::Direction::kHostToController, hci::InquiryCmd{}.encode());  // GIAC, unlimited
+  add(hci::Direction::kControllerToHost, hci::InquiryCompleteEvt{}.encode());
 
   ByteWriter sweep;
   BdAddr().to_wire(sweep);  // BD_ADDR ignored when Read_All_Flag is set

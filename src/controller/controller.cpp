@@ -121,13 +121,9 @@ void Controller::on_command(const hci::HciPacket& packet) {
       medium_.notify_endpoint_changed(this);
       command_complete(*opcode, hci::Status::kSuccess);
       break;
-    case hci::op::kReadBdAddr: {
-      ByteWriter ret;
-      ret.u8(0);
-      config_.address.to_wire(ret);
-      command_complete_raw(*opcode, ret.data());
+    case hci::op::kReadBdAddr:
+      command_complete_raw(*opcode, hci::ReadBdAddrReturn{.bdaddr = config_.address}.encode());
       break;
-    }
     case hci::op::kWriteScanEnable:
       if (auto cmd = hci::WriteScanEnableCmd::decode(*params)) {
         scan_enable_ = cmd->scan_enable;

@@ -1,34 +1,43 @@
 #include "controller/lmp.hpp"
 
 namespace blap::controller {
+namespace {
+
+constexpr LmpRow kLmpOpcodes[] = {
+    {LmpOpcode::kHostConnectionReq, "LMP_host_connection_req"},
+    {LmpOpcode::kAccepted, "LMP_accepted"},
+    BLAP_LAYOUT_ROW_AT(LmpNotAccepted, LmpOpcode::kNotAccepted, "LMP_not_accepted"),
+    {LmpOpcode::kSetupComplete, "LMP_setup_complete"},
+    {LmpOpcode::kDetach, "LMP_detach"},
+    {LmpOpcode::kAuRand, "LMP_au_rand"},
+    {LmpOpcode::kSres, "LMP_sres"},
+    BLAP_LAYOUT_ROW_AT(LmpIoCap, LmpOpcode::kIoCapabilityReq, "LMP_io_capability_req"),
+    BLAP_LAYOUT_ROW_AT(LmpIoCap, LmpOpcode::kIoCapabilityRes, "LMP_io_capability_res"),
+    BLAP_LAYOUT_ROW_AT(LmpPublicKey, LmpOpcode::kEncapsulatedPublicKey,
+                       "LMP_encapsulated (public key)"),
+    {LmpOpcode::kSimplePairingConfirm, "LMP_Simple_Pairing_Confirm"},
+    {LmpOpcode::kSimplePairingNumber, "LMP_Simple_Pairing_Number"},
+    {LmpOpcode::kDhkeyCheck, "LMP_DHkey_Check"},
+    {LmpOpcode::kEncryptionModeReq, "LMP_encryption_mode_req"},
+    {LmpOpcode::kStartEncryptionReq, "LMP_start_encryption_req"},
+    {LmpOpcode::kStopEncryptionReq, "LMP_stop_encryption_req"},
+    {LmpOpcode::kNameReq, "LMP_name_req"},
+    {LmpOpcode::kNameRes, "LMP_name_res"},
+    {LmpOpcode::kPing, "LMP_ping"},
+    {LmpOpcode::kInRand, "LMP_in_rand"},
+    {LmpOpcode::kCombKey, "LMP_comb_key"},
+    {LmpOpcode::kAuRandSc, "LMP_au_rand (secure authentication)"},
+    {LmpOpcode::kSresSc, "LMP_sres (secure authentication)"},
+};
+static_assert(std::ranges::is_sorted(kLmpOpcodes, {}, &LmpRow::code));
+
+}  // namespace
+
+std::span<const LmpRow> lmp_rows() { return kLmpOpcodes; }
 
 const char* to_string(LmpOpcode opcode) {
-  switch (opcode) {
-    case LmpOpcode::kHostConnectionReq: return "LMP_host_connection_req";
-    case LmpOpcode::kAccepted: return "LMP_accepted";
-    case LmpOpcode::kNotAccepted: return "LMP_not_accepted";
-    case LmpOpcode::kSetupComplete: return "LMP_setup_complete";
-    case LmpOpcode::kDetach: return "LMP_detach";
-    case LmpOpcode::kAuRand: return "LMP_au_rand";
-    case LmpOpcode::kSres: return "LMP_sres";
-    case LmpOpcode::kIoCapabilityReq: return "LMP_io_capability_req";
-    case LmpOpcode::kIoCapabilityRes: return "LMP_io_capability_res";
-    case LmpOpcode::kEncapsulatedPublicKey: return "LMP_encapsulated (public key)";
-    case LmpOpcode::kSimplePairingConfirm: return "LMP_Simple_Pairing_Confirm";
-    case LmpOpcode::kSimplePairingNumber: return "LMP_Simple_Pairing_Number";
-    case LmpOpcode::kDhkeyCheck: return "LMP_DHkey_Check";
-    case LmpOpcode::kEncryptionModeReq: return "LMP_encryption_mode_req";
-    case LmpOpcode::kStartEncryptionReq: return "LMP_start_encryption_req";
-    case LmpOpcode::kStopEncryptionReq: return "LMP_stop_encryption_req";
-    case LmpOpcode::kNameReq: return "LMP_name_req";
-    case LmpOpcode::kNameRes: return "LMP_name_res";
-    case LmpOpcode::kPing: return "LMP_ping";
-    case LmpOpcode::kInRand: return "LMP_in_rand";
-    case LmpOpcode::kCombKey: return "LMP_comb_key";
-    case LmpOpcode::kAuRandSc: return "LMP_au_rand (secure authentication)";
-    case LmpOpcode::kSresSc: return "LMP_sres (secure authentication)";
-  }
-  return "LMP_unknown";
+  const LmpRow* row = hci::layout::find_row(lmp_rows(), opcode);
+  return row != nullptr ? row->name : "LMP_unknown";
 }
 
 Bytes LmpPdu::to_air_frame() const {
@@ -64,53 +73,6 @@ std::optional<Bytes> parse_acl_air_frame(BytesView frame) {
   auto channel = r.u8();
   if (!channel || *channel != static_cast<std::uint8_t>(AirChannel::kAcl)) return std::nullopt;
   return to_bytes(r.rest());
-}
-
-Bytes LmpIoCap::encode() const {
-  ByteWriter w;
-  w.u8(io_capability).u8(oob_data_present).u8(authentication_requirements);
-  return std::move(w).take();
-}
-
-std::optional<LmpIoCap> LmpIoCap::decode(BytesView payload) {
-  ByteReader r(payload);
-  auto io = r.u8();
-  auto oob = r.u8();
-  auto auth = r.u8();
-  if (!io || !oob || !auth) return std::nullopt;
-  return LmpIoCap{*io, *oob, *auth};
-}
-
-Bytes LmpPublicKey::encode() const {
-  ByteWriter w;
-  w.u8(static_cast<std::uint8_t>(x.size()));
-  w.raw(x);
-  w.raw(y);
-  return std::move(w).take();
-}
-
-std::optional<LmpPublicKey> LmpPublicKey::decode(BytesView payload) {
-  ByteReader r(payload);
-  auto width = r.u8();
-  if (!width || (*width != 24 && *width != 32)) return std::nullopt;
-  auto x = r.bytes(*width);
-  auto y = r.bytes(*width);
-  if (!x || !y) return std::nullopt;
-  return LmpPublicKey{std::move(*x), std::move(*y)};
-}
-
-Bytes LmpNotAccepted::encode() const {
-  ByteWriter w;
-  w.u8(static_cast<std::uint8_t>(rejected_opcode)).u8(reason);
-  return std::move(w).take();
-}
-
-std::optional<LmpNotAccepted> LmpNotAccepted::decode(BytesView payload) {
-  ByteReader r(payload);
-  auto op = r.u8();
-  auto reason = r.u8();
-  if (!op || !reason) return std::nullopt;
-  return LmpNotAccepted{static_cast<LmpOpcode>(*op), *reason};
 }
 
 }  // namespace blap::controller

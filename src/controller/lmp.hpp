@@ -11,11 +11,13 @@
 #pragma once
 
 #include <optional>
+#include <span>
 #include <string>
 
 #include "common/bdaddr.hpp"
 #include "common/bytes.hpp"
 #include "crypto/keys.hpp"
+#include "hci/layout.hpp"
 
 namespace blap::controller {
 
@@ -74,24 +76,29 @@ struct LmpIoCap {
   std::uint8_t oob_data_present = 0;
   std::uint8_t authentication_requirements = 0;
 
-  [[nodiscard]] Bytes encode() const;
-  [[nodiscard]] static std::optional<LmpIoCap> decode(BytesView payload);
+  BLAP_PARAMS(LmpIoCap, u8(io_capability), u8(oob_data_present), u8(authentication_requirements))
 };
 
 struct LmpPublicKey {
   Bytes x;  // big-endian coordinate at curve width
   Bytes y;
 
-  [[nodiscard]] Bytes encode() const;
-  [[nodiscard]] static std::optional<LmpPublicKey> decode(BytesView payload);
+  BLAP_PARAMS(LmpPublicKey, width_prefixed_xy(x, y))
 };
 
 struct LmpNotAccepted {
   LmpOpcode rejected_opcode = LmpOpcode::kPing;
   std::uint8_t reason = 0;
 
-  [[nodiscard]] Bytes encode() const;
-  [[nodiscard]] static std::optional<LmpNotAccepted> decode(BytesView payload);
+  BLAP_PARAMS(LmpNotAccepted, u8(rejected_opcode), u8(reason))
 };
+
+// --- registry ------------------------------------------------------------------
+
+using LmpRow = hci::layout::Row<LmpOpcode, Bytes>;
+
+/// One row per opcode, ascending; the opcodes whose payloads have a typed
+/// helper above carry its layout.
+[[nodiscard]] std::span<const LmpRow> lmp_rows();
 
 }  // namespace blap::controller

@@ -1,6 +1,7 @@
 #include "fuzz/codec_harness.hpp"
 
 #include <algorithm>
+#include <type_traits>
 
 #include "hci/commands.hpp"
 #include "hci/events.hpp"
@@ -19,29 +20,33 @@ std::uint64_t label_hash(const char* label) {
   return h;
 }
 
-/// Canonical idempotence over arbitrary accepted input: if T::decode accepts
-/// `params`, re-encoding must produce a wire form whose own parameter block
-/// decodes and re-encodes to the same wire — decode∘encode is a fixed point.
-template <typename T>
-CheckResult check_params_fixed_point(BytesView params, const char* label,
-                                     FeatureSink* sink) {
-  const auto decoded = T::decode(params);
-  if (!decoded) return {};
-  if (sink != nullptr) sink->hash(0x10, label_hash(label));
-  const Bytes wire = decoded->encode().to_wire();
+/// The parameter block a typed PDU's wire form carries: an HCI packet's
+/// command or event parameters, or an LMP payload whole.
+std::optional<BytesView> params_of(const hci::HciPacket& packet) {
+  return packet.type == hci::PacketType::kCommand ? packet.command_params()
+                                                  : packet.event_params();
+}
+std::optional<BytesView> params_of(const Bytes& payload) { return BytesView(payload); }
+
+/// Canonical idempotence over arbitrary accepted input: if the row's decoder
+/// accepts `params`, re-encoding must produce a wire form whose own parameter
+/// block decodes and re-encodes to the same wire — decode∘encode is a fixed
+/// point.
+template <typename Row>
+CheckResult check_params_fixed_point(const Row* row, BytesView params, FeatureSink* sink) {
+  if (row == nullptr || row->canon == nullptr) return {};
+  const auto packet = row->canon(params);
+  if (!packet) return {};
+  if (sink != nullptr) sink->hash(0x10, label_hash(row->label));
+  const auto fail = [row](const char* what) { return check_fail(row->label + std::string(what)); };
+  const Bytes wire = packet->to_wire();
   const auto reparsed = hci::HciPacket::from_wire(wire);
-  if (!reparsed)
-    return check_fail(std::string(label) + ": canonical re-encode failed to reparse");
-  const auto canon_params = reparsed->type == hci::PacketType::kCommand
-                                ? reparsed->command_params()
-                                : reparsed->event_params();
-  if (!canon_params)
-    return check_fail(std::string(label) + ": canonical re-encode lost its parameters");
-  const auto again = T::decode(*canon_params);
-  if (!again)
-    return check_fail(std::string(label) + ": canonical parameters failed to re-decode");
-  if (again->encode().to_wire() != wire)
-    return check_fail(std::string(label) + ": decode/encode is not a fixed point");
+  if (!reparsed) return fail(": canonical re-encode failed to reparse");
+  const auto canon_params = params_of(*reparsed);
+  if (!canon_params) return fail(": canonical re-encode lost its parameters");
+  const auto again = row->canon(*canon_params);
+  if (!again) return fail(": canonical parameters failed to re-decode");
+  if (again->to_wire() != wire) return fail(": decode/encode is not a fixed point");
   return {};
 }
 
@@ -89,124 +94,16 @@ CheckResult check_hci_wire(BytesView wire, FeatureSink* sink) {
       if (!params) return {};
       if (!opcode) return check_fail("HCI command: parameters without an opcode");
       if (sink != nullptr) sink->hash(0x14, *opcode);
-      using namespace hci;
-      CheckResult r;
-      const auto probe = [&](auto tag, const char* label) {
-        if (!r.ok) return;
-        using Cmd = decltype(tag);
-        r = check_params_fixed_point<Cmd>(*params, label, sink);
-      };
-      switch (*opcode) {
-        case op::kInquiry: probe(InquiryCmd{}, "InquiryCmd"); break;
-        case op::kCreateConnection:
-          probe(CreateConnectionCmd{}, "CreateConnectionCmd");
-          break;
-        case op::kDisconnect: probe(DisconnectCmd{}, "DisconnectCmd"); break;
-        case op::kAcceptConnectionRequest:
-          probe(AcceptConnectionRequestCmd{}, "AcceptConnectionRequestCmd");
-          break;
-        case op::kRejectConnectionRequest:
-          probe(RejectConnectionRequestCmd{}, "RejectConnectionRequestCmd");
-          break;
-        case op::kLinkKeyRequestReply:
-          probe(LinkKeyRequestReplyCmd{}, "LinkKeyRequestReplyCmd");
-          break;
-        case op::kLinkKeyRequestNegativeReply:
-          probe(LinkKeyRequestNegativeReplyCmd{}, "LinkKeyRequestNegativeReplyCmd");
-          break;
-        case op::kPinCodeRequestReply:
-          probe(PinCodeRequestReplyCmd{}, "PinCodeRequestReplyCmd");
-          break;
-        case op::kPinCodeRequestNegativeReply:
-          probe(PinCodeRequestNegativeReplyCmd{}, "PinCodeRequestNegativeReplyCmd");
-          break;
-        case op::kAuthenticationRequested:
-          probe(AuthenticationRequestedCmd{}, "AuthenticationRequestedCmd");
-          break;
-        case op::kSetConnectionEncryption:
-          probe(SetConnectionEncryptionCmd{}, "SetConnectionEncryptionCmd");
-          break;
-        case op::kRemoteNameRequest:
-          probe(RemoteNameRequestCmd{}, "RemoteNameRequestCmd");
-          break;
-        case op::kIoCapabilityRequestReply:
-          probe(IoCapabilityRequestReplyCmd{}, "IoCapabilityRequestReplyCmd");
-          break;
-        case op::kUserConfirmationRequestReply:
-          probe(UserConfirmationRequestReplyCmd{}, "UserConfirmationRequestReplyCmd");
-          break;
-        case op::kUserConfirmationRequestNegativeReply:
-          probe(UserConfirmationRequestNegativeReplyCmd{},
-                "UserConfirmationRequestNegativeReplyCmd");
-          break;
-        case op::kWriteScanEnable: probe(WriteScanEnableCmd{}, "WriteScanEnableCmd"); break;
-        case op::kWriteClassOfDevice:
-          probe(WriteClassOfDeviceCmd{}, "WriteClassOfDeviceCmd");
-          break;
-        case op::kWriteLocalName: probe(WriteLocalNameCmd{}, "WriteLocalNameCmd"); break;
-        case op::kWriteSimplePairingMode:
-          probe(WriteSimplePairingModeCmd{}, "WriteSimplePairingModeCmd");
-          break;
-        default: break;
-      }
-      return r;
+      return check_params_fixed_point(hci::layout::find_row(hci::command_rows(), *opcode),
+                                      *params, sink);
     }
     case hci::PacketType::kEvent: {
       const auto code = packet->event_code();
       const auto params = packet->event_params();
       if (!params) return {};
       if (sink != nullptr) sink->hash(0x15, *code);
-      using namespace hci;
-      CheckResult r;
-      const auto probe = [&](auto tag, const char* label) {
-        if (!r.ok) return;
-        using Evt = decltype(tag);
-        r = check_params_fixed_point<Evt>(*params, label, sink);
-      };
-      switch (*code) {
-        case ev::kCommandComplete: probe(CommandCompleteEvt{}, "CommandCompleteEvt"); break;
-        case ev::kCommandStatus: probe(CommandStatusEvt{}, "CommandStatusEvt"); break;
-        case ev::kInquiryResult: probe(InquiryResultEvt{}, "InquiryResultEvt"); break;
-        case ev::kInquiryComplete: probe(InquiryCompleteEvt{}, "InquiryCompleteEvt"); break;
-        case ev::kExtendedInquiryResult:
-          probe(ExtendedInquiryResultEvt{}, "ExtendedInquiryResultEvt");
-          break;
-        case ev::kConnectionRequest:
-          probe(ConnectionRequestEvt{}, "ConnectionRequestEvt");
-          break;
-        case ev::kConnectionComplete:
-          probe(ConnectionCompleteEvt{}, "ConnectionCompleteEvt");
-          break;
-        case ev::kDisconnectionComplete:
-          probe(DisconnectionCompleteEvt{}, "DisconnectionCompleteEvt");
-          break;
-        case ev::kAuthenticationComplete:
-          probe(AuthenticationCompleteEvt{}, "AuthenticationCompleteEvt");
-          break;
-        case ev::kRemoteNameRequestComplete:
-          probe(RemoteNameRequestCompleteEvt{}, "RemoteNameRequestCompleteEvt");
-          break;
-        case ev::kEncryptionChange: probe(EncryptionChangeEvt{}, "EncryptionChangeEvt"); break;
-        case ev::kLinkKeyRequest: probe(LinkKeyRequestEvt{}, "LinkKeyRequestEvt"); break;
-        case ev::kLinkKeyNotification:
-          probe(LinkKeyNotificationEvt{}, "LinkKeyNotificationEvt");
-          break;
-        case ev::kIoCapabilityRequest:
-          probe(IoCapabilityRequestEvt{}, "IoCapabilityRequestEvt");
-          break;
-        case ev::kPinCodeRequest: probe(PinCodeRequestEvt{}, "PinCodeRequestEvt"); break;
-        case ev::kIoCapabilityResponse:
-          probe(IoCapabilityResponseEvt{}, "IoCapabilityResponseEvt");
-          break;
-        case ev::kUserConfirmationRequest:
-          probe(UserConfirmationRequestEvt{}, "UserConfirmationRequestEvt");
-          break;
-        case ev::kSimplePairingComplete:
-          probe(SimplePairingCompleteEvt{}, "SimplePairingCompleteEvt");
-          break;
-        default: break;
-      }
-      return r;
+      return check_params_fixed_point(hci::layout::find_row(hci::event_rows(), *code), *params,
+                                      sink);
     }
     case hci::PacketType::kAclData: {
       const auto handle = packet->acl_handle();
@@ -262,30 +159,70 @@ CheckResult check_lmp_frame(BytesView frame, FeatureSink* sink) {
   if (pdu->to_air_frame() != to_bytes(frame))
     return check_fail("LMP: accepted frame did not re-encode identically");
 
-  // Typed payload decoders: canonical fixed point for whatever they accept.
-  using controller::LmpOpcode;
-  const auto fixed_point = [&](auto decoded, const char* label) -> CheckResult {
-    if (!decoded) return {};
-    if (sink != nullptr) sink->hash(0x1C, label_hash(label));
-    const Bytes enc = decoded->encode();
-    const auto again = std::decay_t<decltype(*decoded)>::decode(enc);
-    if (!again)
-      return check_fail(std::string(label) + ": canonical payload failed to re-decode");
-    if (again->encode() != enc)
-      return check_fail(std::string(label) + ": decode/encode is not a fixed point");
-    return {};
-  };
-  switch (pdu->opcode) {
-    case LmpOpcode::kIoCapabilityReq:
-    case LmpOpcode::kIoCapabilityRes:
-      return fixed_point(controller::LmpIoCap::decode(pdu->payload), "LmpIoCap");
-    case LmpOpcode::kEncapsulatedPublicKey:
-      return fixed_point(controller::LmpPublicKey::decode(pdu->payload), "LmpPublicKey");
-    case LmpOpcode::kNotAccepted:
-      return fixed_point(controller::LmpNotAccepted::decode(pdu->payload),
-                         "LmpNotAccepted");
-    default: return {};
-  }
+  // The opcode's typed payload decoder: canonical fixed point for whatever
+  // it accepts.
+  const controller::LmpRow* row = hci::layout::find_row(controller::lmp_rows(), pdu->opcode);
+  if (row == nullptr || row->canon == nullptr) return {};
+  const auto payload = row->canon(pdu->payload);
+  if (!payload) return {};
+  if (sink != nullptr) sink->hash(0x1C, label_hash(row->label));
+  const auto again = row->canon(*payload);
+  if (!again)
+    return check_fail(row->label + std::string(": canonical payload failed to re-decode"));
+  if (*again != *payload)
+    return check_fail(row->label + std::string(": decode/encode is not a fixed point"));
+  return {};
 }
+
+template <typename Code, typename Wire>
+CheckResult check_row_round_trip(const hci::layout::Row<Code, Wire>& row, const Wire& value) {
+  const auto fail = [&row](const std::string& what) { return check_fail(row.label + what); };
+  // An HCI packet's parameter block is taken from a reparse of its own H4
+  // bytes; an LMP payload is the block.
+  Wire own = value;
+  if constexpr (std::is_same_v<Wire, hci::HciPacket>) {
+    auto reparsed = hci::HciPacket::from_wire(value.to_wire());
+    if (!reparsed) return fail(": own wire failed to reparse");
+    own = std::move(*reparsed);
+  }
+  const auto params = params_of(own);
+  if (!params) return fail(": no parameter block in own wire");
+
+  const auto decoded = row.canon(*params);
+  if (!decoded) return fail(": own parameters failed to decode");
+  if (*decoded != value) return fail(": re-encode differs from original wire");
+
+  // A raw rest takes whatever bytes follow the fixed fields, so for such a
+  // layout "decodes" means "re-encodes to exactly the block it was given".
+  const auto absorbed = [&row](BytesView block) {
+    const auto wire = row.canon(block);
+    const auto carried = wire ? params_of(*wire) : std::nullopt;
+    return carried.has_value() && std::ranges::equal(*carried, block);
+  };
+
+  // Strict prefixes reject; with a raw rest, the ones that reach into it
+  // may decode instead, to exactly their own bytes.
+  for (std::size_t cut = 0; cut < params->size(); ++cut) {
+    const BytesView prefix = params->subspan(0, cut);
+    if (row.canon(prefix).has_value() && !(row.absorbs_tail && absorbed(prefix)))
+      return fail(": strict prefix of " + std::to_string(cut) + " bytes decoded");
+  }
+
+  // Trailing garbage: tolerated (decodes to the same value) or rejected —
+  // but never a different value, unless a raw rest absorbs it whole. A
+  // fixed tail keeps the harness deterministic without threading an Rng.
+  Bytes padded = to_bytes(*params);
+  for (std::size_t i = 0; i < 9; ++i) padded.push_back(static_cast<std::uint8_t>(0xA5 + 17 * i));
+  if (row.absorbs_tail) {
+    if (!absorbed(padded)) return fail(": padded decode did not absorb the tail");
+  } else if (const auto tolerant = row.canon(padded); tolerant && *tolerant != value) {
+    return fail(": padded decode changed the value");
+  }
+  return {};
+}
+
+template CheckResult check_row_round_trip(const hci::CommandRow&, const hci::HciPacket&);
+template CheckResult check_row_round_trip(const hci::EventRow&, const hci::HciPacket&);
+template CheckResult check_row_round_trip(const controller::LmpRow&, const Bytes&);
 
 }  // namespace blap::fuzz

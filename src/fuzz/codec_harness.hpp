@@ -15,7 +15,8 @@
 //   * padding tolerated — a valid block plus trailing garbage either
 //                       rejects or decodes to the same value (leading
 //                       fields, tail ignored — real controllers tolerate
-//                       padded commands).
+//                       padded commands); a layout ending in a raw rest
+//                       absorbs the garbage into that field instead.
 //   * canonical idempotence (arbitrary inputs) — whatever decode() accepts,
 //                       re-encoding and decoding again is a fixed point.
 //
@@ -28,6 +29,7 @@
 
 #include "controller/lmp.hpp"
 #include "fuzz/coverage.hpp"
+#include "hci/layout.hpp"
 #include "hci/packets.hpp"
 
 namespace blap::fuzz {
@@ -50,74 +52,38 @@ struct CheckResult {
 /// with opcode and payload preserved.
 [[nodiscard]] CheckResult check_lmp_round_trip(const controller::LmpPdu& pdu);
 
-namespace harness_detail {
+/// The registry-row contract: `value` is a typed PDU's wire form (an HCI
+/// packet or an LMP payload) and `row` the layout row of its type. Checks
+/// round trip + prefix rejection + padding tolerance; a layout ending in a
+/// raw rest must instead absorb the padding into its value.
+template <typename Code, typename Wire>
+[[nodiscard]] CheckResult check_row_round_trip(const hci::layout::Row<Code, Wire>& row,
+                                               const Wire& value);
 
-/// Shared body for commands and events: `params_of` projects the reparsed
-/// packet onto its parameter block.
-template <typename T, typename ParamsFn>
-CheckResult check_typed_round_trip(const T& value, const char* label, ParamsFn params_of) {
-  const hci::HciPacket packet = value.encode();
-  const Bytes wire = packet.to_wire();
-
-  const auto reparsed = hci::HciPacket::from_wire(wire);
-  if (!reparsed) return check_fail(std::string(label) + ": own wire failed to reparse");
-  const std::optional<BytesView> params = params_of(*reparsed);
-  if (!params) return check_fail(std::string(label) + ": no parameter block in own wire");
-
-  const auto decoded = T::decode(*params);
-  if (!decoded) return check_fail(std::string(label) + ": own parameters failed to decode");
-  if (decoded->encode().to_wire() != wire)
-    return check_fail(std::string(label) + ": re-encode differs from original wire");
-
-  for (std::size_t cut = 0; cut < params->size(); ++cut) {
-    if (T::decode(params->subspan(0, cut)).has_value())
-      return check_fail(std::string(label) + ": strict prefix of " + std::to_string(cut) +
-                        " bytes decoded");
-  }
-
-  // Trailing garbage: tolerated (decodes to the same value) or rejected —
-  // but never a different value. A fixed tail keeps the harness
-  // deterministic without threading an Rng through.
-  Bytes padded = to_bytes(*params);
-  for (std::size_t i = 0; i < 9; ++i)
-    padded.push_back(static_cast<std::uint8_t>(0xA5 + 17 * i));
-  if (const auto tolerant = T::decode(padded); tolerant.has_value()) {
-    if (tolerant->encode().to_wire() != wire)
-      return check_fail(std::string(label) + ": padded decode changed the value");
-  }
-  return {};
-}
-
-}  // namespace harness_detail
-
-/// Full command-struct contract: round trip + prefix rejection + padding
-/// tolerance, through the real H4 wire form.
+/// Full command-struct contract, through the real H4 wire form.
 template <typename Cmd>
 [[nodiscard]] CheckResult check_command_round_trip(const Cmd& cmd,
                                                    const char* label = "command") {
-  return harness_detail::check_typed_round_trip(
-      cmd, label, [](const hci::HciPacket& p) { return p.command_params(); });
+  return check_row_round_trip(hci::layout::typed_row<Cmd>(label), cmd.encode());
 }
 
 /// Full event-struct contract (same shape as commands).
 template <typename Evt>
 [[nodiscard]] CheckResult check_event_round_trip(const Evt& evt,
                                                  const char* label = "event") {
-  return harness_detail::check_typed_round_trip(
-      evt, label, [](const hci::HciPacket& p) { return p.event_params(); });
+  return check_row_round_trip(hci::layout::typed_row<Evt>(label), evt.encode());
 }
 
 // --- arbitrary-input probes (fuzz targets) -----------------------------------
 
-/// Feed arbitrary bytes through the H4 parser and every typed HCI decoder
-/// whose opcode/event code matches. Asserts canonical idempotence for
+/// Feed arbitrary bytes through the H4 parser and the typed HCI decoder
+/// whose registry row matches the opcode/event code. Asserts canonical idempotence for
 /// whatever the decoders accept, plus header/length consistency for ACL
 /// packets. Emits shape features to `sink` when non-null.
 [[nodiscard]] CheckResult check_hci_wire(BytesView wire, FeatureSink* sink);
 
-/// Same for the LMP/ACL air-frame surface: framing parse, typed payload
-/// decoders (IO capability, encapsulated public key, not-accepted),
-/// canonical idempotence.
+/// Same for the LMP/ACL air-frame surface: framing parse, the typed payload
+/// decoder of the opcode's registry row, canonical idempotence.
 [[nodiscard]] CheckResult check_lmp_frame(BytesView frame, FeatureSink* sink);
 
 }  // namespace blap::fuzz

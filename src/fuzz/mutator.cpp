@@ -3,7 +3,8 @@
 #include <algorithm>
 
 #include "controller/lmp.hpp"
-#include "hci/constants.hpp"
+#include "hci/commands.hpp"
+#include "hci/events.hpp"
 
 namespace blap::fuzz {
 namespace {
@@ -16,60 +17,21 @@ Bytes u16_le(std::uint16_t v) {
 
 Dictionary Dictionary::bluetooth() {
   Dictionary dict;
-  // HCI command opcodes, little-endian as they appear in the wire header.
-  // kLinkKeyRequestReply is the paper's "0b 04" signature byte pair.
-  constexpr std::uint16_t kOpcodes[] = {
-      hci::op::kInquiry,
-      hci::op::kInquiryCancel,
-      hci::op::kCreateConnection,
-      hci::op::kDisconnect,
-      hci::op::kAcceptConnectionRequest,
-      hci::op::kRejectConnectionRequest,
-      hci::op::kLinkKeyRequestReply,
-      hci::op::kLinkKeyRequestNegativeReply,
-      hci::op::kPinCodeRequestReply,
-      hci::op::kPinCodeRequestNegativeReply,
-      hci::op::kAuthenticationRequested,
-      hci::op::kSetConnectionEncryption,
-      hci::op::kRemoteNameRequest,
-      hci::op::kIoCapabilityRequestReply,
-      hci::op::kUserConfirmationRequestReply,
-      hci::op::kUserConfirmationRequestNegativeReply,
-      hci::op::kReset,
-      hci::op::kReadStoredLinkKey,
-      hci::op::kWriteLocalName,
-      hci::op::kWriteScanEnable,
-      hci::op::kWriteClassOfDevice,
-      hci::op::kWriteSimplePairingMode,
-      hci::op::kReadBdAddr,
-  };
-  for (const std::uint16_t op : kOpcodes) dict.tokens.push_back(u16_le(op));
-
-  // HCI event codes.
-  constexpr std::uint8_t kEvents[] = {
-      hci::ev::kInquiryComplete,      hci::ev::kInquiryResult,
-      hci::ev::kConnectionComplete,   hci::ev::kConnectionRequest,
-      hci::ev::kDisconnectionComplete, hci::ev::kAuthenticationComplete,
-      hci::ev::kRemoteNameRequestComplete, hci::ev::kEncryptionChange,
-      hci::ev::kCommandComplete,      hci::ev::kCommandStatus,
-      hci::ev::kReturnLinkKeys,       hci::ev::kPinCodeRequest,
-      hci::ev::kLinkKeyRequest,       hci::ev::kLinkKeyNotification,
-      hci::ev::kExtendedInquiryResult, hci::ev::kIoCapabilityRequest,
-      hci::ev::kIoCapabilityResponse, hci::ev::kUserConfirmationRequest,
-      hci::ev::kSimplePairingComplete,
-  };
-  for (const std::uint8_t code : kEvents) dict.tokens.push_back(Bytes{code});
+  // HCI command opcodes (little-endian, as in the wire header) and event
+  // codes, one per registry row. Link_Key_Request_Reply's is the paper's
+  // "0b 04" signature byte pair.
+  for (const auto& row : hci::command_rows()) dict.tokens.push_back(u16_le(row.code));
+  for (const auto& row : hci::event_rows()) dict.tokens.push_back(Bytes{row.code});
 
   // H4 packet-type indicators.
   for (std::uint8_t t = 0x01; t <= 0x04; ++t) dict.tokens.push_back(Bytes{t});
 
-  // LMP: air-channel discriminators and the full opcode range.
+  // LMP: air-channel discriminators, then channel + opcode for every opcode.
   dict.tokens.push_back(Bytes{static_cast<std::uint8_t>(controller::AirChannel::kLmp)});
   dict.tokens.push_back(Bytes{static_cast<std::uint8_t>(controller::AirChannel::kAcl)});
-  for (std::uint8_t op = 1; op <= static_cast<std::uint8_t>(controller::LmpOpcode::kSresSc);
-       ++op)
-    dict.tokens.push_back(
-        Bytes{static_cast<std::uint8_t>(controller::AirChannel::kLmp), op});
+  for (const auto& row : controller::lmp_rows())
+    dict.tokens.push_back(Bytes{static_cast<std::uint8_t>(controller::AirChannel::kLmp),
+                                static_cast<std::uint8_t>(row.code)});
 
   // P-256 / P-192 coordinate widths (the LMP public-key length byte).
   dict.tokens.push_back(Bytes{24});

@@ -1,343 +1,42 @@
 #include "hci/commands.hpp"
 
 namespace blap::hci {
+namespace {
+
+constexpr CommandRow kCommands[] = {
+    BLAP_LAYOUT_ROW(InquiryCmd),
+    {op::kInquiryCancel, "HCI_Inquiry_Cancel"},
+    BLAP_LAYOUT_ROW(CreateConnectionCmd),
+    BLAP_LAYOUT_ROW(DisconnectCmd),
+    BLAP_LAYOUT_ROW(AcceptConnectionRequestCmd),
+    BLAP_LAYOUT_ROW(RejectConnectionRequestCmd),
+    BLAP_LAYOUT_ROW(LinkKeyRequestReplyCmd),
+    BLAP_LAYOUT_ROW(LinkKeyRequestNegativeReplyCmd),
+    BLAP_LAYOUT_ROW(PinCodeRequestReplyCmd),
+    BLAP_LAYOUT_ROW(PinCodeRequestNegativeReplyCmd),
+    BLAP_LAYOUT_ROW(AuthenticationRequestedCmd),
+    BLAP_LAYOUT_ROW(SetConnectionEncryptionCmd),
+    BLAP_LAYOUT_ROW(RemoteNameRequestCmd),
+    BLAP_LAYOUT_ROW(IoCapabilityRequestReplyCmd),
+    BLAP_LAYOUT_ROW(UserConfirmationRequestReplyCmd),
+    BLAP_LAYOUT_ROW(UserConfirmationRequestNegativeReplyCmd),
+    {ResetCmd::kCode, ResetCmd::kName},
+    {op::kReadStoredLinkKey, "HCI_Read_Stored_Link_Key"},
+    BLAP_LAYOUT_ROW(WriteLocalNameCmd),
+    BLAP_LAYOUT_ROW(WriteScanEnableCmd),
+    BLAP_LAYOUT_ROW(WriteClassOfDeviceCmd),
+    BLAP_LAYOUT_ROW(WriteSimplePairingModeCmd),
+    {ReadBdAddrCmd::kCode, ReadBdAddrCmd::kName},
+};
+static_assert(std::ranges::is_sorted(kCommands, {}, &CommandRow::code));
+
+}  // namespace
+
+std::span<const CommandRow> command_rows() { return kCommands; }
 
 const char* opcode_name(std::uint16_t op_value) {
-  switch (op_value) {
-    case op::kInquiry: return "HCI_Inquiry";
-    case op::kInquiryCancel: return "HCI_Inquiry_Cancel";
-    case op::kCreateConnection: return "HCI_Create_Connection";
-    case op::kDisconnect: return "HCI_Disconnect";
-    case op::kAcceptConnectionRequest: return "HCI_Accept_Connection_Request";
-    case op::kRejectConnectionRequest: return "HCI_Reject_Connection_Request";
-    case op::kLinkKeyRequestReply: return "HCI_Link_Key_Request_Reply";
-    case op::kLinkKeyRequestNegativeReply: return "HCI_Link_Key_Request_Negative_Reply";
-    case op::kPinCodeRequestReply: return "HCI_PIN_Code_Request_Reply";
-    case op::kPinCodeRequestNegativeReply: return "HCI_PIN_Code_Request_Negative_Reply";
-    case op::kAuthenticationRequested: return "HCI_Authentication_Requested";
-    case op::kSetConnectionEncryption: return "HCI_Set_Connection_Encryption";
-    case op::kRemoteNameRequest: return "HCI_Remote_Name_Request";
-    case op::kIoCapabilityRequestReply: return "HCI_IO_Capability_Request_Reply";
-    case op::kUserConfirmationRequestReply: return "HCI_User_Confirmation_Request_Reply";
-    case op::kUserConfirmationRequestNegativeReply:
-      return "HCI_User_Confirmation_Request_Negative_Reply";
-    case op::kReset: return "HCI_Reset";
-    case op::kReadStoredLinkKey: return "HCI_Read_Stored_Link_Key";
-    case op::kWriteLocalName: return "HCI_Write_Local_Name";
-    case op::kWriteScanEnable: return "HCI_Write_Scan_Enable";
-    case op::kWriteClassOfDevice: return "HCI_Write_Class_of_Device";
-    case op::kWriteSimplePairingMode: return "HCI_Write_Simple_Pairing_Mode";
-    case op::kReadBdAddr: return "HCI_Read_BD_ADDR";
-    default: return "HCI_Unknown_Command";
-  }
+  const CommandRow* row = layout::find_row(command_rows(), op_value);
+  return row != nullptr ? row->name : "HCI_Unknown_Command";
 }
-
-HciPacket InquiryCmd::encode() const {
-  ByteWriter w;
-  w.u8(static_cast<std::uint8_t>(lap));
-  w.u8(static_cast<std::uint8_t>(lap >> 8));
-  w.u8(static_cast<std::uint8_t>(lap >> 16));
-  w.u8(inquiry_length);
-  w.u8(num_responses);
-  return make_command(op::kInquiry, w.data());
-}
-
-std::optional<InquiryCmd> InquiryCmd::decode(BytesView params) {
-  ByteReader r(params);
-  auto b0 = r.u8(), b1 = r.u8(), b2 = r.u8(), len = r.u8(), num = r.u8();
-  if (!b0 || !b1 || !b2 || !len || !num) return std::nullopt;
-  InquiryCmd cmd;
-  cmd.lap = static_cast<std::uint32_t>(*b0) | (static_cast<std::uint32_t>(*b1) << 8) |
-            (static_cast<std::uint32_t>(*b2) << 16);
-  cmd.inquiry_length = *len;
-  cmd.num_responses = *num;
-  return cmd;
-}
-
-HciPacket CreateConnectionCmd::encode() const {
-  ByteWriter w;
-  bdaddr.to_wire(w);
-  w.u16(packet_type).u8(page_scan_repetition_mode).u8(reserved).u16(clock_offset).u8(
-      allow_role_switch);
-  return make_command(op::kCreateConnection, w.data());
-}
-
-std::optional<CreateConnectionCmd> CreateConnectionCmd::decode(BytesView params) {
-  ByteReader r(params);
-  auto addr = BdAddr::from_wire(r);
-  auto pkt = r.u16();
-  auto psrm = r.u8();
-  auto rsv = r.u8();
-  auto clk = r.u16();
-  auto role = r.u8();
-  if (!addr || !pkt || !psrm || !rsv || !clk || !role) return std::nullopt;
-  return CreateConnectionCmd{*addr, *pkt, *psrm, *rsv, *clk, *role};
-}
-
-HciPacket DisconnectCmd::encode() const {
-  ByteWriter w;
-  w.u16(handle).u8(static_cast<std::uint8_t>(reason));
-  return make_command(op::kDisconnect, w.data());
-}
-
-std::optional<DisconnectCmd> DisconnectCmd::decode(BytesView params) {
-  ByteReader r(params);
-  auto h = r.u16();
-  auto reason = r.u8();
-  if (!h || !reason) return std::nullopt;
-  return DisconnectCmd{*h, static_cast<Status>(*reason)};
-}
-
-HciPacket AcceptConnectionRequestCmd::encode() const {
-  ByteWriter w;
-  bdaddr.to_wire(w);
-  w.u8(role);
-  return make_command(op::kAcceptConnectionRequest, w.data());
-}
-
-std::optional<AcceptConnectionRequestCmd> AcceptConnectionRequestCmd::decode(BytesView params) {
-  ByteReader r(params);
-  auto addr = BdAddr::from_wire(r);
-  auto role = r.u8();
-  if (!addr || !role) return std::nullopt;
-  return AcceptConnectionRequestCmd{*addr, *role};
-}
-
-HciPacket RejectConnectionRequestCmd::encode() const {
-  ByteWriter w;
-  bdaddr.to_wire(w);
-  w.u8(static_cast<std::uint8_t>(reason));
-  return make_command(op::kRejectConnectionRequest, w.data());
-}
-
-std::optional<RejectConnectionRequestCmd> RejectConnectionRequestCmd::decode(BytesView params) {
-  ByteReader r(params);
-  auto addr = BdAddr::from_wire(r);
-  auto reason = r.u8();
-  if (!addr || !reason) return std::nullopt;
-  return RejectConnectionRequestCmd{*addr, static_cast<Status>(*reason)};
-}
-
-HciPacket LinkKeyRequestReplyCmd::encode() const {
-  ByteWriter w;
-  bdaddr.to_wire(w);
-  // The link key travels least-significant byte first, matching the byte
-  // order the paper's Fig. 11 shows ("in big-endian" once reversed).
-  for (std::size_t i = link_key.size(); i-- > 0;) w.u8(link_key[i]);
-  return make_command(op::kLinkKeyRequestReply, w.data());
-}
-
-std::optional<LinkKeyRequestReplyCmd> LinkKeyRequestReplyCmd::decode(BytesView params) {
-  ByteReader r(params);
-  auto addr = BdAddr::from_wire(r);
-  auto key_wire = r.array<16>();
-  if (!addr || !key_wire) return std::nullopt;
-  LinkKeyRequestReplyCmd cmd;
-  cmd.bdaddr = *addr;
-  for (std::size_t i = 0; i < 16; ++i) cmd.link_key[i] = (*key_wire)[15 - i];
-  return cmd;
-}
-
-HciPacket LinkKeyRequestNegativeReplyCmd::encode() const {
-  ByteWriter w;
-  bdaddr.to_wire(w);
-  return make_command(op::kLinkKeyRequestNegativeReply, w.data());
-}
-
-std::optional<LinkKeyRequestNegativeReplyCmd> LinkKeyRequestNegativeReplyCmd::decode(
-    BytesView params) {
-  ByteReader r(params);
-  auto addr = BdAddr::from_wire(r);
-  if (!addr) return std::nullopt;
-  return LinkKeyRequestNegativeReplyCmd{*addr};
-}
-
-HciPacket PinCodeRequestReplyCmd::encode() const {
-  ByteWriter w;
-  bdaddr.to_wire(w);
-  const std::size_t n = std::min<std::size_t>(pin.size(), 16);
-  w.u8(static_cast<std::uint8_t>(n));
-  for (std::size_t i = 0; i < 16; ++i)
-    w.u8(i < n ? static_cast<std::uint8_t>(pin[i]) : 0);
-  return make_command(op::kPinCodeRequestReply, w.data());
-}
-
-std::optional<PinCodeRequestReplyCmd> PinCodeRequestReplyCmd::decode(BytesView params) {
-  ByteReader r(params);
-  auto addr = BdAddr::from_wire(r);
-  auto len = r.u8();
-  auto pin_bytes = r.array<16>();
-  if (!addr || !len || !pin_bytes || *len == 0 || *len > 16) return std::nullopt;
-  PinCodeRequestReplyCmd cmd;
-  cmd.bdaddr = *addr;
-  cmd.pin.assign(pin_bytes->begin(), pin_bytes->begin() + *len);
-  return cmd;
-}
-
-HciPacket PinCodeRequestNegativeReplyCmd::encode() const {
-  ByteWriter w;
-  bdaddr.to_wire(w);
-  return make_command(op::kPinCodeRequestNegativeReply, w.data());
-}
-
-std::optional<PinCodeRequestNegativeReplyCmd> PinCodeRequestNegativeReplyCmd::decode(
-    BytesView params) {
-  ByteReader r(params);
-  auto addr = BdAddr::from_wire(r);
-  if (!addr) return std::nullopt;
-  return PinCodeRequestNegativeReplyCmd{*addr};
-}
-
-HciPacket AuthenticationRequestedCmd::encode() const {
-  ByteWriter w;
-  w.u16(handle);
-  return make_command(op::kAuthenticationRequested, w.data());
-}
-
-std::optional<AuthenticationRequestedCmd> AuthenticationRequestedCmd::decode(BytesView params) {
-  ByteReader r(params);
-  auto h = r.u16();
-  if (!h) return std::nullopt;
-  return AuthenticationRequestedCmd{*h};
-}
-
-HciPacket SetConnectionEncryptionCmd::encode() const {
-  ByteWriter w;
-  w.u16(handle).u8(encryption_enable);
-  return make_command(op::kSetConnectionEncryption, w.data());
-}
-
-std::optional<SetConnectionEncryptionCmd> SetConnectionEncryptionCmd::decode(BytesView params) {
-  ByteReader r(params);
-  auto h = r.u16();
-  auto enable = r.u8();
-  if (!h || !enable) return std::nullopt;
-  return SetConnectionEncryptionCmd{*h, *enable};
-}
-
-HciPacket RemoteNameRequestCmd::encode() const {
-  ByteWriter w;
-  bdaddr.to_wire(w);
-  w.u8(page_scan_repetition_mode).u8(reserved).u16(clock_offset);
-  return make_command(op::kRemoteNameRequest, w.data());
-}
-
-std::optional<RemoteNameRequestCmd> RemoteNameRequestCmd::decode(BytesView params) {
-  ByteReader r(params);
-  auto addr = BdAddr::from_wire(r);
-  auto psrm = r.u8();
-  auto rsv = r.u8();
-  auto clk = r.u16();
-  if (!addr || !psrm || !rsv || !clk) return std::nullopt;
-  return RemoteNameRequestCmd{*addr, *psrm, *rsv, *clk};
-}
-
-HciPacket IoCapabilityRequestReplyCmd::encode() const {
-  ByteWriter w;
-  bdaddr.to_wire(w);
-  w.u8(static_cast<std::uint8_t>(io_capability)).u8(oob_data_present).u8(
-      authentication_requirements);
-  return make_command(op::kIoCapabilityRequestReply, w.data());
-}
-
-std::optional<IoCapabilityRequestReplyCmd> IoCapabilityRequestReplyCmd::decode(BytesView params) {
-  ByteReader r(params);
-  auto addr = BdAddr::from_wire(r);
-  auto io = r.u8();
-  auto oob = r.u8();
-  auto auth = r.u8();
-  if (!addr || !io || !oob || !auth || *io > 0x03) return std::nullopt;
-  return IoCapabilityRequestReplyCmd{*addr, static_cast<IoCapability>(*io), *oob, *auth};
-}
-
-HciPacket UserConfirmationRequestReplyCmd::encode() const {
-  ByteWriter w;
-  bdaddr.to_wire(w);
-  return make_command(op::kUserConfirmationRequestReply, w.data());
-}
-
-std::optional<UserConfirmationRequestReplyCmd> UserConfirmationRequestReplyCmd::decode(
-    BytesView params) {
-  ByteReader r(params);
-  auto addr = BdAddr::from_wire(r);
-  if (!addr) return std::nullopt;
-  return UserConfirmationRequestReplyCmd{*addr};
-}
-
-HciPacket UserConfirmationRequestNegativeReplyCmd::encode() const {
-  ByteWriter w;
-  bdaddr.to_wire(w);
-  return make_command(op::kUserConfirmationRequestNegativeReply, w.data());
-}
-
-std::optional<UserConfirmationRequestNegativeReplyCmd>
-UserConfirmationRequestNegativeReplyCmd::decode(BytesView params) {
-  ByteReader r(params);
-  auto addr = BdAddr::from_wire(r);
-  if (!addr) return std::nullopt;
-  return UserConfirmationRequestNegativeReplyCmd{*addr};
-}
-
-HciPacket ResetCmd::encode() const { return make_command(op::kReset, {}); }
-
-HciPacket WriteScanEnableCmd::encode() const {
-  ByteWriter w;
-  w.u8(static_cast<std::uint8_t>(scan_enable));
-  return make_command(op::kWriteScanEnable, w.data());
-}
-
-std::optional<WriteScanEnableCmd> WriteScanEnableCmd::decode(BytesView params) {
-  ByteReader r(params);
-  auto v = r.u8();
-  if (!v || *v > 0x03) return std::nullopt;
-  return WriteScanEnableCmd{static_cast<ScanEnable>(*v)};
-}
-
-HciPacket WriteClassOfDeviceCmd::encode() const {
-  ByteWriter w;
-  class_of_device.to_wire(w);
-  return make_command(op::kWriteClassOfDevice, w.data());
-}
-
-std::optional<WriteClassOfDeviceCmd> WriteClassOfDeviceCmd::decode(BytesView params) {
-  ByteReader r(params);
-  auto cod = ClassOfDevice::from_wire(r);
-  if (!cod) return std::nullopt;
-  return WriteClassOfDeviceCmd{*cod};
-}
-
-HciPacket WriteLocalNameCmd::encode() const {
-  ByteWriter w;
-  Bytes padded(248, 0);
-  const std::size_t n = std::min<std::size_t>(name.size(), 247);
-  std::copy_n(name.begin(), n, padded.begin());
-  w.raw(padded);
-  return make_command(op::kWriteLocalName, w.data());
-}
-
-std::optional<WriteLocalNameCmd> WriteLocalNameCmd::decode(BytesView params) {
-  if (params.size() != 248) return std::nullopt;
-  WriteLocalNameCmd cmd;
-  for (std::uint8_t b : params) {
-    if (b == 0) break;
-    cmd.name.push_back(static_cast<char>(b));
-  }
-  return cmd;
-}
-
-HciPacket WriteSimplePairingModeCmd::encode() const {
-  ByteWriter w;
-  w.u8(enabled);
-  return make_command(op::kWriteSimplePairingMode, w.data());
-}
-
-std::optional<WriteSimplePairingModeCmd> WriteSimplePairingModeCmd::decode(BytesView params) {
-  ByteReader r(params);
-  auto v = r.u8();
-  if (!v || *v > 1) return std::nullopt;
-  return WriteSimplePairingModeCmd{*v};
-}
-
-HciPacket ReadBdAddrCmd::encode() const { return make_command(op::kReadBdAddr, {}); }
 
 }  // namespace blap::hci

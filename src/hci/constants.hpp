@@ -92,11 +92,11 @@ inline constexpr std::uint8_t kReturnLinkKeys = 0x15;
 inline constexpr std::uint8_t kPinCodeRequest = 0x16;
 inline constexpr std::uint8_t kLinkKeyRequest = 0x17;
 inline constexpr std::uint8_t kLinkKeyNotification = 0x18;
+inline constexpr std::uint8_t kExtendedInquiryResult = 0x2F;
 inline constexpr std::uint8_t kIoCapabilityRequest = 0x31;
 inline constexpr std::uint8_t kIoCapabilityResponse = 0x32;
 inline constexpr std::uint8_t kUserConfirmationRequest = 0x33;
 inline constexpr std::uint8_t kSimplePairingComplete = 0x36;
-inline constexpr std::uint8_t kExtendedInquiryResult = 0x2F;
 }  // namespace ev
 
 [[nodiscard]] const char* event_name(std::uint8_t code);

@@ -1,30 +1,38 @@
 #include "hci/events.hpp"
 
 namespace blap::hci {
+namespace {
+
+constexpr EventRow kEvents[] = {
+    BLAP_LAYOUT_ROW(InquiryCompleteEvt),
+    BLAP_LAYOUT_ROW(InquiryResultEvt),
+    BLAP_LAYOUT_ROW(ConnectionCompleteEvt),
+    BLAP_LAYOUT_ROW(ConnectionRequestEvt),
+    BLAP_LAYOUT_ROW(DisconnectionCompleteEvt),
+    BLAP_LAYOUT_ROW(AuthenticationCompleteEvt),
+    BLAP_LAYOUT_ROW(RemoteNameRequestCompleteEvt),
+    BLAP_LAYOUT_ROW(EncryptionChangeEvt),
+    BLAP_LAYOUT_ROW(CommandCompleteEvt),
+    BLAP_LAYOUT_ROW(CommandStatusEvt),
+    {ev::kReturnLinkKeys, "HCI_Return_Link_Keys"},
+    BLAP_LAYOUT_ROW(PinCodeRequestEvt),
+    BLAP_LAYOUT_ROW(LinkKeyRequestEvt),
+    BLAP_LAYOUT_ROW(LinkKeyNotificationEvt),
+    BLAP_LAYOUT_ROW(ExtendedInquiryResultEvt),
+    BLAP_LAYOUT_ROW(IoCapabilityRequestEvt),
+    BLAP_LAYOUT_ROW(IoCapabilityResponseEvt),
+    BLAP_LAYOUT_ROW(UserConfirmationRequestEvt),
+    BLAP_LAYOUT_ROW(SimplePairingCompleteEvt),
+};
+static_assert(std::ranges::is_sorted(kEvents, {}, &EventRow::code));
+
+}  // namespace
+
+std::span<const EventRow> event_rows() { return kEvents; }
 
 const char* event_name(std::uint8_t code) {
-  switch (code) {
-    case ev::kInquiryComplete: return "HCI_Inquiry_Complete";
-    case ev::kInquiryResult: return "HCI_Inquiry_Result";
-    case ev::kConnectionComplete: return "HCI_Connection_Complete";
-    case ev::kConnectionRequest: return "HCI_Connection_Request";
-    case ev::kDisconnectionComplete: return "HCI_Disconnection_Complete";
-    case ev::kAuthenticationComplete: return "HCI_Authentication_Complete";
-    case ev::kRemoteNameRequestComplete: return "HCI_Remote_Name_Request_Complete";
-    case ev::kEncryptionChange: return "HCI_Encryption_Change";
-    case ev::kCommandComplete: return "HCI_Command_Complete";
-    case ev::kCommandStatus: return "HCI_Command_Status";
-    case ev::kReturnLinkKeys: return "HCI_Return_Link_Keys";
-    case ev::kPinCodeRequest: return "HCI_PIN_Code_Request";
-    case ev::kLinkKeyRequest: return "HCI_Link_Key_Request";
-    case ev::kLinkKeyNotification: return "HCI_Link_Key_Notification";
-    case ev::kIoCapabilityRequest: return "HCI_IO_Capability_Request";
-    case ev::kIoCapabilityResponse: return "HCI_IO_Capability_Response";
-    case ev::kUserConfirmationRequest: return "HCI_User_Confirmation_Request";
-    case ev::kSimplePairingComplete: return "HCI_Simple_Pairing_Complete";
-    case ev::kExtendedInquiryResult: return "HCI_Extended_Inquiry_Result";
-    default: return "HCI_Unknown_Event";
-  }
+  const EventRow* row = layout::find_row(event_rows(), code);
+  return row != nullptr ? row->name : "HCI_Unknown_Event";
 }
 
 const char* to_string(Status status) {
@@ -53,345 +61,6 @@ const char* to_string(IoCapability capability) {
     case IoCapability::kNoInputNoOutput: return "NoInputNoOutput";
   }
   return "?";
-}
-
-HciPacket CommandCompleteEvt::encode() const {
-  ByteWriter w;
-  w.u8(num_hci_command_packets).u16(command_opcode).raw(return_parameters);
-  return make_event(ev::kCommandComplete, w.data());
-}
-
-std::optional<CommandCompleteEvt> CommandCompleteEvt::decode(BytesView params) {
-  ByteReader r(params);
-  auto num = r.u8();
-  auto op_value = r.u16();
-  if (!num || !op_value) return std::nullopt;
-  CommandCompleteEvt evt;
-  evt.num_hci_command_packets = *num;
-  evt.command_opcode = *op_value;
-  evt.return_parameters = to_bytes(r.rest());
-  return evt;
-}
-
-HciPacket CommandStatusEvt::encode() const {
-  ByteWriter w;
-  w.u8(static_cast<std::uint8_t>(status)).u8(num_hci_command_packets).u16(command_opcode);
-  return make_event(ev::kCommandStatus, w.data());
-}
-
-std::optional<CommandStatusEvt> CommandStatusEvt::decode(BytesView params) {
-  ByteReader r(params);
-  auto status = r.u8();
-  auto num = r.u8();
-  auto op_value = r.u16();
-  if (!status || !num || !op_value) return std::nullopt;
-  return CommandStatusEvt{static_cast<Status>(*status), *num, *op_value};
-}
-
-HciPacket InquiryResultEvt::encode() const {
-  ByteWriter w;
-  w.u8(1);  // Num_Responses
-  bdaddr.to_wire(w);
-  w.u8(page_scan_repetition_mode);
-  w.u8(0).u8(0);  // reserved
-  class_of_device.to_wire(w);
-  w.u16(clock_offset);
-  return make_event(ev::kInquiryResult, w.data());
-}
-
-std::optional<InquiryResultEvt> InquiryResultEvt::decode(BytesView params) {
-  ByteReader r(params);
-  auto num = r.u8();
-  if (!num || *num != 1) return std::nullopt;
-  auto addr = BdAddr::from_wire(r);
-  auto psrm = r.u8();
-  if (!r.skip(2)) return std::nullopt;
-  auto cod = ClassOfDevice::from_wire(r);
-  auto clk = r.u16();
-  if (!addr || !psrm || !cod || !clk) return std::nullopt;
-  return InquiryResultEvt{*addr, *psrm, *cod, *clk};
-}
-
-HciPacket InquiryCompleteEvt::encode() const {
-  ByteWriter w;
-  w.u8(static_cast<std::uint8_t>(status));
-  return make_event(ev::kInquiryComplete, w.data());
-}
-
-std::optional<InquiryCompleteEvt> InquiryCompleteEvt::decode(BytesView params) {
-  ByteReader r(params);
-  auto status = r.u8();
-  if (!status) return std::nullopt;
-  return InquiryCompleteEvt{static_cast<Status>(*status)};
-}
-
-HciPacket ExtendedInquiryResultEvt::encode() const {
-  ByteWriter w;
-  w.u8(1);  // Num_Responses (always 1 for EIR)
-  bdaddr.to_wire(w);
-  w.u8(page_scan_repetition_mode);
-  w.u8(0);  // reserved
-  class_of_device.to_wire(w);
-  w.u16(clock_offset);
-  w.u8(static_cast<std::uint8_t>(rssi));
-  // 240-byte EIR block: one structure — length | type 0x09 | name bytes.
-  Bytes eir(240, 0);
-  const std::size_t n = std::min<std::size_t>(name.size(), 238);
-  eir[0] = static_cast<std::uint8_t>(n + 1);
-  eir[1] = 0x09;  // Complete Local Name
-  std::copy_n(name.begin(), n, eir.begin() + 2);
-  w.raw(eir);
-  return make_event(ev::kExtendedInquiryResult, w.data());
-}
-
-std::optional<ExtendedInquiryResultEvt> ExtendedInquiryResultEvt::decode(BytesView params) {
-  ByteReader r(params);
-  auto num = r.u8();
-  if (!num || *num != 1) return std::nullopt;
-  auto addr = BdAddr::from_wire(r);
-  auto psrm = r.u8();
-  if (!r.skip(1)) return std::nullopt;
-  auto cod = ClassOfDevice::from_wire(r);
-  auto clk = r.u16();
-  auto rssi_raw = r.u8();
-  if (!addr || !psrm || !cod || !clk || !rssi_raw || r.remaining() != 240) return std::nullopt;
-  ExtendedInquiryResultEvt evt;
-  evt.bdaddr = *addr;
-  evt.page_scan_repetition_mode = *psrm;
-  evt.class_of_device = *cod;
-  evt.clock_offset = *clk;
-  evt.rssi = static_cast<std::int8_t>(*rssi_raw);
-  // Walk the EIR structures for the complete local name.
-  BytesView eir = r.rest();
-  std::size_t offset = 0;
-  while (offset < eir.size()) {
-    const std::uint8_t length = eir[offset];
-    if (length == 0 || offset + 1 + length > eir.size()) break;
-    const std::uint8_t type = eir[offset + 1];
-    if (type == 0x09) {
-      evt.name.assign(eir.begin() + static_cast<std::ptrdiff_t>(offset) + 2,
-                      eir.begin() + static_cast<std::ptrdiff_t>(offset) + 1 + length);
-      break;
-    }
-    offset += 1u + length;
-  }
-  return evt;
-}
-
-HciPacket ConnectionRequestEvt::encode() const {
-  ByteWriter w;
-  bdaddr.to_wire(w);
-  class_of_device.to_wire(w);
-  w.u8(link_type);
-  return make_event(ev::kConnectionRequest, w.data());
-}
-
-std::optional<ConnectionRequestEvt> ConnectionRequestEvt::decode(BytesView params) {
-  ByteReader r(params);
-  auto addr = BdAddr::from_wire(r);
-  auto cod = ClassOfDevice::from_wire(r);
-  auto link = r.u8();
-  if (!addr || !cod || !link) return std::nullopt;
-  return ConnectionRequestEvt{*addr, *cod, *link};
-}
-
-HciPacket ConnectionCompleteEvt::encode() const {
-  ByteWriter w;
-  w.u8(static_cast<std::uint8_t>(status)).u16(handle);
-  bdaddr.to_wire(w);
-  w.u8(link_type).u8(encryption_enabled);
-  return make_event(ev::kConnectionComplete, w.data());
-}
-
-std::optional<ConnectionCompleteEvt> ConnectionCompleteEvt::decode(BytesView params) {
-  ByteReader r(params);
-  auto status = r.u8();
-  auto handle = r.u16();
-  auto addr = BdAddr::from_wire(r);
-  auto link = r.u8();
-  auto enc = r.u8();
-  if (!status || !handle || !addr || !link || !enc) return std::nullopt;
-  return ConnectionCompleteEvt{static_cast<Status>(*status), *handle, *addr, *link, *enc};
-}
-
-HciPacket DisconnectionCompleteEvt::encode() const {
-  ByteWriter w;
-  w.u8(static_cast<std::uint8_t>(status)).u16(handle).u8(static_cast<std::uint8_t>(reason));
-  return make_event(ev::kDisconnectionComplete, w.data());
-}
-
-std::optional<DisconnectionCompleteEvt> DisconnectionCompleteEvt::decode(BytesView params) {
-  ByteReader r(params);
-  auto status = r.u8();
-  auto handle = r.u16();
-  auto reason = r.u8();
-  if (!status || !handle || !reason) return std::nullopt;
-  return DisconnectionCompleteEvt{static_cast<Status>(*status), *handle,
-                                  static_cast<Status>(*reason)};
-}
-
-HciPacket AuthenticationCompleteEvt::encode() const {
-  ByteWriter w;
-  w.u8(static_cast<std::uint8_t>(status)).u16(handle);
-  return make_event(ev::kAuthenticationComplete, w.data());
-}
-
-std::optional<AuthenticationCompleteEvt> AuthenticationCompleteEvt::decode(BytesView params) {
-  ByteReader r(params);
-  auto status = r.u8();
-  auto handle = r.u16();
-  if (!status || !handle) return std::nullopt;
-  return AuthenticationCompleteEvt{static_cast<Status>(*status), *handle};
-}
-
-HciPacket RemoteNameRequestCompleteEvt::encode() const {
-  ByteWriter w;
-  w.u8(static_cast<std::uint8_t>(status));
-  bdaddr.to_wire(w);
-  Bytes padded(248, 0);
-  const std::size_t n = std::min<std::size_t>(remote_name.size(), 247);
-  std::copy_n(remote_name.begin(), n, padded.begin());
-  w.raw(padded);
-  return make_event(ev::kRemoteNameRequestComplete, w.data());
-}
-
-std::optional<RemoteNameRequestCompleteEvt> RemoteNameRequestCompleteEvt::decode(
-    BytesView params) {
-  ByteReader r(params);
-  auto status = r.u8();
-  auto addr = BdAddr::from_wire(r);
-  if (!status || !addr || r.remaining() != 248) return std::nullopt;
-  RemoteNameRequestCompleteEvt evt;
-  evt.status = static_cast<Status>(*status);
-  evt.bdaddr = *addr;
-  for (std::uint8_t b : r.rest()) {
-    if (b == 0) break;
-    evt.remote_name.push_back(static_cast<char>(b));
-  }
-  return evt;
-}
-
-HciPacket EncryptionChangeEvt::encode() const {
-  ByteWriter w;
-  w.u8(static_cast<std::uint8_t>(status)).u16(handle).u8(encryption_enabled);
-  return make_event(ev::kEncryptionChange, w.data());
-}
-
-std::optional<EncryptionChangeEvt> EncryptionChangeEvt::decode(BytesView params) {
-  ByteReader r(params);
-  auto status = r.u8();
-  auto handle = r.u16();
-  auto enc = r.u8();
-  if (!status || !handle || !enc) return std::nullopt;
-  return EncryptionChangeEvt{static_cast<Status>(*status), *handle, *enc};
-}
-
-HciPacket LinkKeyRequestEvt::encode() const {
-  ByteWriter w;
-  bdaddr.to_wire(w);
-  return make_event(ev::kLinkKeyRequest, w.data());
-}
-
-std::optional<LinkKeyRequestEvt> LinkKeyRequestEvt::decode(BytesView params) {
-  ByteReader r(params);
-  auto addr = BdAddr::from_wire(r);
-  if (!addr) return std::nullopt;
-  return LinkKeyRequestEvt{*addr};
-}
-
-HciPacket LinkKeyNotificationEvt::encode() const {
-  ByteWriter w;
-  bdaddr.to_wire(w);
-  for (std::size_t i = link_key.size(); i-- > 0;) w.u8(link_key[i]);
-  w.u8(static_cast<std::uint8_t>(key_type));
-  return make_event(ev::kLinkKeyNotification, w.data());
-}
-
-std::optional<LinkKeyNotificationEvt> LinkKeyNotificationEvt::decode(BytesView params) {
-  ByteReader r(params);
-  auto addr = BdAddr::from_wire(r);
-  auto key_wire = r.array<16>();
-  auto type = r.u8();
-  if (!addr || !key_wire || !type) return std::nullopt;
-  LinkKeyNotificationEvt evt;
-  evt.bdaddr = *addr;
-  for (std::size_t i = 0; i < 16; ++i) evt.link_key[i] = (*key_wire)[15 - i];
-  evt.key_type = static_cast<crypto::LinkKeyType>(*type);
-  return evt;
-}
-
-HciPacket PinCodeRequestEvt::encode() const {
-  ByteWriter w;
-  bdaddr.to_wire(w);
-  return make_event(ev::kPinCodeRequest, w.data());
-}
-
-std::optional<PinCodeRequestEvt> PinCodeRequestEvt::decode(BytesView params) {
-  ByteReader r(params);
-  auto addr = BdAddr::from_wire(r);
-  if (!addr) return std::nullopt;
-  return PinCodeRequestEvt{*addr};
-}
-
-HciPacket IoCapabilityRequestEvt::encode() const {
-  ByteWriter w;
-  bdaddr.to_wire(w);
-  return make_event(ev::kIoCapabilityRequest, w.data());
-}
-
-std::optional<IoCapabilityRequestEvt> IoCapabilityRequestEvt::decode(BytesView params) {
-  ByteReader r(params);
-  auto addr = BdAddr::from_wire(r);
-  if (!addr) return std::nullopt;
-  return IoCapabilityRequestEvt{*addr};
-}
-
-HciPacket IoCapabilityResponseEvt::encode() const {
-  ByteWriter w;
-  bdaddr.to_wire(w);
-  w.u8(static_cast<std::uint8_t>(io_capability)).u8(oob_data_present).u8(
-      authentication_requirements);
-  return make_event(ev::kIoCapabilityResponse, w.data());
-}
-
-std::optional<IoCapabilityResponseEvt> IoCapabilityResponseEvt::decode(BytesView params) {
-  ByteReader r(params);
-  auto addr = BdAddr::from_wire(r);
-  auto io = r.u8();
-  auto oob = r.u8();
-  auto auth = r.u8();
-  if (!addr || !io || !oob || !auth || *io > 0x03) return std::nullopt;
-  return IoCapabilityResponseEvt{*addr, static_cast<IoCapability>(*io), *oob, *auth};
-}
-
-HciPacket UserConfirmationRequestEvt::encode() const {
-  ByteWriter w;
-  bdaddr.to_wire(w);
-  w.u32(numeric_value);
-  return make_event(ev::kUserConfirmationRequest, w.data());
-}
-
-std::optional<UserConfirmationRequestEvt> UserConfirmationRequestEvt::decode(BytesView params) {
-  ByteReader r(params);
-  auto addr = BdAddr::from_wire(r);
-  auto value = r.u32();
-  if (!addr || !value) return std::nullopt;
-  return UserConfirmationRequestEvt{*addr, *value};
-}
-
-HciPacket SimplePairingCompleteEvt::encode() const {
-  ByteWriter w;
-  w.u8(static_cast<std::uint8_t>(status));
-  bdaddr.to_wire(w);
-  return make_event(ev::kSimplePairingComplete, w.data());
-}
-
-std::optional<SimplePairingCompleteEvt> SimplePairingCompleteEvt::decode(BytesView params) {
-  ByteReader r(params);
-  auto status = r.u8();
-  auto addr = BdAddr::from_wire(r);
-  if (!status || !addr) return std::nullopt;
-  return SimplePairingCompleteEvt{static_cast<Status>(*status), *addr};
 }
 
 }  // namespace blap::hci

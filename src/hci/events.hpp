@@ -7,10 +7,12 @@
 #pragma once
 
 #include <optional>
+#include <span>
 #include <string>
 
 #include "common/bdaddr.hpp"
 #include "crypto/keys.hpp"
+#include "hci/layout.hpp"
 #include "hci/packets.hpp"
 
 namespace blap::hci {
@@ -20,8 +22,8 @@ struct CommandCompleteEvt {
   std::uint16_t command_opcode = 0;
   Bytes return_parameters;  // first byte is usually a Status
 
-  [[nodiscard]] HciPacket encode() const;
-  [[nodiscard]] static std::optional<CommandCompleteEvt> decode(BytesView params);
+  BLAP_HCI_EVENT(CommandCompleteEvt, ev::kCommandComplete, "HCI_Command_Complete",
+                 u8(num_hci_command_packets), u16(command_opcode), raw_rest(return_parameters))
 };
 
 struct CommandStatusEvt {
@@ -29,8 +31,8 @@ struct CommandStatusEvt {
   std::uint8_t num_hci_command_packets = 1;
   std::uint16_t command_opcode = 0;
 
-  [[nodiscard]] HciPacket encode() const;
-  [[nodiscard]] static std::optional<CommandStatusEvt> decode(BytesView params);
+  BLAP_HCI_EVENT(CommandStatusEvt, ev::kCommandStatus, "HCI_Command_Status", u8(status),
+                 u8(num_hci_command_packets), u16(command_opcode))
 };
 
 struct InquiryResultEvt {
@@ -39,15 +41,15 @@ struct InquiryResultEvt {
   ClassOfDevice class_of_device;
   std::uint16_t clock_offset = 0;
 
-  [[nodiscard]] HciPacket encode() const;
-  [[nodiscard]] static std::optional<InquiryResultEvt> decode(BytesView params);
+  BLAP_HCI_EVENT(InquiryResultEvt, ev::kInquiryResult, "HCI_Inquiry_Result", constant<1>(),
+                 addr(bdaddr), u8(page_scan_repetition_mode), reserved_bytes<2>(),
+                 cod(class_of_device), u16(clock_offset))
 };
 
 struct InquiryCompleteEvt {
   Status status = Status::kSuccess;
 
-  [[nodiscard]] HciPacket encode() const;
-  [[nodiscard]] static std::optional<InquiryCompleteEvt> decode(BytesView params);
+  BLAP_HCI_EVENT(InquiryCompleteEvt, ev::kInquiryComplete, "HCI_Inquiry_Complete", u8(status))
 };
 
 /// Extended Inquiry Result (BT 2.1+): one response carrying RSSI and an EIR
@@ -62,8 +64,10 @@ struct ExtendedInquiryResultEvt {
   std::int8_t rssi = -60;
   std::string name;  // from / into the EIR complete-local-name structure
 
-  [[nodiscard]] HciPacket encode() const;
-  [[nodiscard]] static std::optional<ExtendedInquiryResultEvt> decode(BytesView params);
+  BLAP_HCI_EVENT(ExtendedInquiryResultEvt, ev::kExtendedInquiryResult,
+                 "HCI_Extended_Inquiry_Result", constant<1>(), addr(bdaddr),
+                 u8(page_scan_repetition_mode), reserved_bytes<1>(), cod(class_of_device),
+                 u16(clock_offset), u8(rssi), eir_name(name))
 };
 
 struct ConnectionRequestEvt {
@@ -71,8 +75,8 @@ struct ConnectionRequestEvt {
   ClassOfDevice class_of_device;
   std::uint8_t link_type = 0x01;  // ACL
 
-  [[nodiscard]] HciPacket encode() const;
-  [[nodiscard]] static std::optional<ConnectionRequestEvt> decode(BytesView params);
+  BLAP_HCI_EVENT(ConnectionRequestEvt, ev::kConnectionRequest, "HCI_Connection_Request",
+                 addr(bdaddr), cod(class_of_device), u8(link_type))
 };
 
 struct ConnectionCompleteEvt {
@@ -82,8 +86,8 @@ struct ConnectionCompleteEvt {
   std::uint8_t link_type = 0x01;
   std::uint8_t encryption_enabled = 0x00;
 
-  [[nodiscard]] HciPacket encode() const;
-  [[nodiscard]] static std::optional<ConnectionCompleteEvt> decode(BytesView params);
+  BLAP_HCI_EVENT(ConnectionCompleteEvt, ev::kConnectionComplete, "HCI_Connection_Complete",
+                 u8(status), u16(handle), addr(bdaddr), u8(link_type), u8(encryption_enabled))
 };
 
 struct DisconnectionCompleteEvt {
@@ -91,16 +95,16 @@ struct DisconnectionCompleteEvt {
   ConnectionHandle handle = kInvalidHandle;
   Status reason = Status::kRemoteUserTerminatedConnection;
 
-  [[nodiscard]] HciPacket encode() const;
-  [[nodiscard]] static std::optional<DisconnectionCompleteEvt> decode(BytesView params);
+  BLAP_HCI_EVENT(DisconnectionCompleteEvt, ev::kDisconnectionComplete, "HCI_Disconnection_Complete",
+                 u8(status), u16(handle), u8(reason))
 };
 
 struct AuthenticationCompleteEvt {
   Status status = Status::kSuccess;
   ConnectionHandle handle = kInvalidHandle;
 
-  [[nodiscard]] HciPacket encode() const;
-  [[nodiscard]] static std::optional<AuthenticationCompleteEvt> decode(BytesView params);
+  BLAP_HCI_EVENT(AuthenticationCompleteEvt, ev::kAuthenticationComplete,
+                 "HCI_Authentication_Complete", u8(status), u16(handle))
 };
 
 struct RemoteNameRequestCompleteEvt {
@@ -108,8 +112,9 @@ struct RemoteNameRequestCompleteEvt {
   BdAddr bdaddr;
   std::string remote_name;
 
-  [[nodiscard]] HciPacket encode() const;
-  [[nodiscard]] static std::optional<RemoteNameRequestCompleteEvt> decode(BytesView params);
+  BLAP_HCI_EVENT(RemoteNameRequestCompleteEvt, ev::kRemoteNameRequestComplete,
+                 "HCI_Remote_Name_Request_Complete", u8(status), addr(bdaddr),
+                 padded_name<248>(remote_name))
 };
 
 struct EncryptionChangeEvt {
@@ -117,8 +122,8 @@ struct EncryptionChangeEvt {
   ConnectionHandle handle = kInvalidHandle;
   std::uint8_t encryption_enabled = 0x01;
 
-  [[nodiscard]] HciPacket encode() const;
-  [[nodiscard]] static std::optional<EncryptionChangeEvt> decode(BytesView params);
+  BLAP_HCI_EVENT(EncryptionChangeEvt, ev::kEncryptionChange, "HCI_Encryption_Change", u8(status),
+                 u16(handle), u8(encryption_enabled))
 };
 
 /// Controller asks the host for the stored link key of a peer. The host
@@ -127,8 +132,7 @@ struct EncryptionChangeEvt {
 struct LinkKeyRequestEvt {
   BdAddr bdaddr;
 
-  [[nodiscard]] HciPacket encode() const;
-  [[nodiscard]] static std::optional<LinkKeyRequestEvt> decode(BytesView params);
+  BLAP_HCI_EVENT(LinkKeyRequestEvt, ev::kLinkKeyRequest, "HCI_Link_Key_Request", addr(bdaddr))
 };
 
 /// Controller hands a freshly generated link key to the host for storage —
@@ -138,23 +142,22 @@ struct LinkKeyNotificationEvt {
   crypto::LinkKey link_key{};
   crypto::LinkKeyType key_type = crypto::LinkKeyType::kUnauthenticatedCombinationP192;
 
-  [[nodiscard]] HciPacket encode() const;
-  [[nodiscard]] static std::optional<LinkKeyNotificationEvt> decode(BytesView params);
+  BLAP_HCI_EVENT(LinkKeyNotificationEvt, ev::kLinkKeyNotification, "HCI_Link_Key_Notification",
+                 addr(bdaddr), lsb_key(link_key), u8(key_type))
 };
 
 struct IoCapabilityRequestEvt {
   BdAddr bdaddr;
 
-  [[nodiscard]] HciPacket encode() const;
-  [[nodiscard]] static std::optional<IoCapabilityRequestEvt> decode(BytesView params);
+  BLAP_HCI_EVENT(IoCapabilityRequestEvt, ev::kIoCapabilityRequest, "HCI_IO_Capability_Request",
+                 addr(bdaddr))
 };
 
 /// Legacy pairing: controller asks the host for the PIN code.
 struct PinCodeRequestEvt {
   BdAddr bdaddr;
 
-  [[nodiscard]] HciPacket encode() const;
-  [[nodiscard]] static std::optional<PinCodeRequestEvt> decode(BytesView params);
+  BLAP_HCI_EVENT(PinCodeRequestEvt, ev::kPinCodeRequest, "HCI_PIN_Code_Request", addr(bdaddr))
 };
 
 struct IoCapabilityResponseEvt {
@@ -163,24 +166,33 @@ struct IoCapabilityResponseEvt {
   std::uint8_t oob_data_present = 0x00;
   std::uint8_t authentication_requirements = 0x03;
 
-  [[nodiscard]] HciPacket encode() const;
-  [[nodiscard]] static std::optional<IoCapabilityResponseEvt> decode(BytesView params);
+  BLAP_HCI_EVENT(IoCapabilityResponseEvt, ev::kIoCapabilityResponse, "HCI_IO_Capability_Response",
+                 addr(bdaddr), enum_byte<0x03>(io_capability), u8(oob_data_present),
+                 u8(authentication_requirements))
 };
 
 struct UserConfirmationRequestEvt {
   BdAddr bdaddr;
   std::uint32_t numeric_value = 0;  // six-digit value from g()
 
-  [[nodiscard]] HciPacket encode() const;
-  [[nodiscard]] static std::optional<UserConfirmationRequestEvt> decode(BytesView params);
+  BLAP_HCI_EVENT(UserConfirmationRequestEvt, ev::kUserConfirmationRequest,
+                 "HCI_User_Confirmation_Request", addr(bdaddr), u32(numeric_value))
 };
 
 struct SimplePairingCompleteEvt {
   Status status = Status::kSuccess;
   BdAddr bdaddr;
 
-  [[nodiscard]] HciPacket encode() const;
-  [[nodiscard]] static std::optional<SimplePairingCompleteEvt> decode(BytesView params);
+  BLAP_HCI_EVENT(SimplePairingCompleteEvt, ev::kSimplePairingComplete,
+                 "HCI_Simple_Pairing_Complete", u8(status), addr(bdaddr))
 };
+
+// --- registry ------------------------------------------------------------------
+
+using EventRow = layout::Row<std::uint8_t, HciPacket>;
+
+/// One row per known event code, ascending: a typed row per struct above,
+/// plus a name-only row for the struct-less Return_Link_Keys.
+[[nodiscard]] std::span<const EventRow> event_rows();
 
 }  // namespace blap::hci

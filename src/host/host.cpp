@@ -738,11 +738,8 @@ void HostStack::dispatch_event(std::uint8_t code, BytesView params) {
 }
 
 void HostStack::on_command_complete(const hci::CommandCompleteEvt& evt) {
-  if (evt.command_opcode == hci::op::kReadBdAddr && evt.return_parameters.size() >= 7) {
-    ByteReader r(evt.return_parameters);
-    (void)r.u8();  // status
-    if (auto addr = BdAddr::from_wire(r)) own_address_ = *addr;
-  }
+  if (evt.command_opcode != hci::op::kReadBdAddr) return;
+  if (auto ret = hci::ReadBdAddrReturn::decode(evt.return_parameters)) own_address_ = ret->bdaddr;
 }
 
 void HostStack::on_connection_request(const hci::ConnectionRequestEvt& evt) {

@@ -1,6 +1,6 @@
 // test_codec_fuzz.cpp — seeded fuzz round-trips for the HCI and LMP codecs.
 //
-// The check bodies live in src/fuzz/codec_harness.hpp, shared verbatim with
+// The check bodies live in src/fuzz/codec_harness.*, shared verbatim with
 // the coverage-guided fuzz targets (fuzz_hci_codec / fuzz_lmp_codec): the
 // property this suite asserts on randomized-but-valid values is, by
 // construction, the same property the fuzzer explores on arbitrary bytes.
@@ -14,6 +14,8 @@
 //
 // Seeds are fixed: failures reproduce exactly.
 #include <gtest/gtest.h>
+
+#include <span>
 
 #include "common/rng.hpp"
 #include "controller/lmp.hpp"
@@ -175,6 +177,72 @@ TEST(CodecFuzz, LinkKeyNotificationEvt) {
     evt.key_type = static_cast<crypto::LinkKeyType>(rng.uniform(8));
     return evt;
   });
+}
+
+// --- every registered layout ----------------------------------------------------
+
+// Walks every typed row of the three registries through the same oracle
+// check_command_round_trip/check_event_round_trip use, on values whose every
+// field is drawn from its kind's seeded generator. Returns the typed-row count.
+template <typename Code, typename Wire>
+std::size_t round_trip_every_row(std::span<const layout::Row<Code, Wire>> rows,
+                                 std::uint64_t seed) {
+  std::size_t typed = 0;
+  for (const auto& row : rows) {
+    if (row.canon == nullptr) continue;
+    ++typed;
+    Rng rng(seed);
+    for (int i = 0; i < kRounds; ++i) {
+      const CheckResult r = fuzz::check_row_round_trip(row, row.draw(rng));
+      EXPECT_TRUE(r.ok) << r.detail;
+      if (!r.ok) break;
+    }
+  }
+  return typed;
+}
+
+TEST(CodecFuzz, EveryRegisteredLayoutRoundTrips) {
+  EXPECT_EQ(round_trip_every_row(command_rows(), 13), 19u);
+  EXPECT_EQ(round_trip_every_row(event_rows(), 14), 18u);
+  // LmpIoCap serves both IO-capability opcodes.
+  EXPECT_EQ(round_trip_every_row(controller::lmp_rows(), 15), 4u);
+}
+
+// Every event carries at least one parameter, so an empty block rejects.
+TEST(CodecFuzz, EveryEventDecoderRejectsEmptyParams) {
+  for (const EventRow& row : event_rows()) {
+    if (row.canon != nullptr) {
+      EXPECT_FALSE(row.canon({}).has_value()) << row.label;
+    }
+  }
+}
+
+// Name-only rows name the codes that have no struct (or no parameters).
+TEST(CodecFuzz, RegistriesNameEveryCode) {
+  EXPECT_EQ(command_rows().size(), 23u);
+  EXPECT_EQ(event_rows().size(), 19u);
+  EXPECT_EQ(controller::lmp_rows().size(),
+            static_cast<std::size_t>(controller::LmpOpcode::kSresSc));
+  EXPECT_STREQ(opcode_name(op::kLinkKeyRequestReply), "HCI_Link_Key_Request_Reply");
+  EXPECT_STREQ(opcode_name(op::kInquiryCancel), "HCI_Inquiry_Cancel");
+  EXPECT_STREQ(opcode_name(0x0000), "HCI_Unknown_Command");
+  EXPECT_STREQ(event_name(ev::kReturnLinkKeys), "HCI_Return_Link_Keys");
+  EXPECT_STREQ(event_name(0xFF), "HCI_Unknown_Event");
+  EXPECT_STREQ(controller::to_string(controller::LmpOpcode::kEncapsulatedPublicKey),
+               "LMP_encapsulated (public key)");
+  EXPECT_STREQ(controller::to_string(static_cast<controller::LmpOpcode>(0)), "LMP_unknown");
+}
+
+// Read_BD_ADDR's return parameters: the controller's encode and the host's
+// decode share one layout.
+TEST(CodecFuzz, ReadBdAddrReturnRoundTrips) {
+  const BdAddr addr = *BdAddr::parse("00:1b:7d:da:71:0a");
+  const Bytes wire = ReadBdAddrReturn{.bdaddr = addr}.encode();
+  EXPECT_EQ(wire, (Bytes{0x00, 0x0a, 0x71, 0xda, 0x7d, 0x1b, 0x00}));
+  const auto back = ReadBdAddrReturn::decode(wire);
+  ASSERT_TRUE(back.has_value());
+  EXPECT_EQ(back->bdaddr, addr);
+  EXPECT_FALSE(ReadBdAddrReturn::decode(BytesView(wire).subspan(0, 6)).has_value());
 }
 
 // --- ACL fragments -----------------------------------------------------------

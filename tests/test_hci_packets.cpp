@@ -205,25 +205,6 @@ TEST(Events, UserConfirmationCarriesNumericValue) {
   EXPECT_EQ(back->numeric_value, 595'311u);
 }
 
-// Round-trip sweep over every event struct with default-ish values.
-TEST(Events, AllDecodersRejectEmptyParams) {
-  const Bytes empty;
-  EXPECT_FALSE(CommandCompleteEvt::decode(empty).has_value());
-  EXPECT_FALSE(CommandStatusEvt::decode(empty).has_value());
-  EXPECT_FALSE(InquiryResultEvt::decode(empty).has_value());
-  EXPECT_FALSE(ConnectionRequestEvt::decode(empty).has_value());
-  EXPECT_FALSE(ConnectionCompleteEvt::decode(empty).has_value());
-  EXPECT_FALSE(DisconnectionCompleteEvt::decode(empty).has_value());
-  EXPECT_FALSE(AuthenticationCompleteEvt::decode(empty).has_value());
-  EXPECT_FALSE(EncryptionChangeEvt::decode(empty).has_value());
-  EXPECT_FALSE(LinkKeyRequestEvt::decode(empty).has_value());
-  EXPECT_FALSE(LinkKeyNotificationEvt::decode(empty).has_value());
-  EXPECT_FALSE(IoCapabilityRequestEvt::decode(empty).has_value());
-  EXPECT_FALSE(IoCapabilityResponseEvt::decode(empty).has_value());
-  EXPECT_FALSE(UserConfirmationRequestEvt::decode(empty).has_value());
-  EXPECT_FALSE(SimplePairingCompleteEvt::decode(empty).has_value());
-}
-
 }  // namespace
 }  // namespace blap::hci
 
