@@ -16,7 +16,9 @@
 // JSON, and a full relaxed re-capture of both end states.
 #include <gtest/gtest.h>
 
+#include "crypto/sha256.hpp"
 #include "obs/obs.hpp"
+#include "snapshot/chaos_trial.hpp"
 #include "snapshot/scenarios.hpp"
 #include "snapshot/snapshot.hpp"
 
@@ -148,6 +150,99 @@ TEST(SnapshotRoundTrip, SerializationIsCanonical) {
   const Outcome b = run_straight(clean);
   EXPECT_EQ(a.final_state, b.final_state);
   EXPECT_EQ(a.accessory_snoop, b.accessory_snoop);
+}
+
+// ---------------------------------------------------------------------------
+// Pinned snapshot bytes. The round-trip tests above compare two runs of the
+// same build; these compare against digests recorded once, so any change to
+// the wire layout (a field added, dropped, reordered or re-widened) fails
+// here. A deliberate layout change bumps Snapshot::kVersion and re-records.
+// Each capture point is chosen so the optional sections are populated: the
+// SSP and legacy pairing contexts, a non-empty ARQ queue and per-link
+// channel models.
+
+std::string digest(const Snapshot& snap) {
+  const auto d = crypto::Sha256::hash(snap.bytes());
+  return hex(d);
+}
+
+bool saw_event(const core::Device& device, std::uint8_t code) {
+  for (const auto& record : device.host().snoop().records())
+    if (record.packet.type == hci::PacketType::kEvent && record.packet.event_code() == code)
+      return true;
+  return false;
+}
+
+/// Step `sim` one event at a time until `done()` holds; false if it never does.
+template <typename Pred>
+bool step_until(core::Simulation& sim, Pred done) {
+  for (int i = 0; i < 100000; ++i) {
+    if (done()) return true;
+    if (sim.scheduler().idle()) return false;
+    (void)sim.scheduler().step();
+  }
+  return false;
+}
+
+TEST(SnapshotBytes, StrictBondedWarmDigestIsPinned) {
+  Scenario s = build_scenario(7, bonded_cell_params());
+  bonded_warm_setup(s);
+  std::string why;
+  const auto warm = Snapshot::capture(*s.sim, &why);
+  ASSERT_TRUE(warm.has_value()) << why;
+  EXPECT_EQ(digest(*warm), "f6f3facb1500a7482d65a15f8c2cc83315c0fc76b875b17e88b92cfe6e9b2358");
+}
+
+TEST(SnapshotBytes, MidSspPairingDigestIsPinned) {
+  Scenario s = start(Workload{});
+  s.accessory->host().enable_snoop(true);
+  s.target->host().enable_snoop(true);
+  s.accessory->host().pair(s.target->address(), [](hci::Status) {});
+  // A User_Confirmation_Request is raised with the SSP context fully open:
+  // both public keys, nonces, commitment and DHKey are in place.
+  ASSERT_TRUE(step_until(*s.sim, [&] {
+    return saw_event(*s.accessory, hci::ev::kUserConfirmationRequest) &&
+           saw_event(*s.target, hci::ev::kUserConfirmationRequest);
+  }));
+  EXPECT_EQ(digest(Snapshot::capture_relaxed(*s.sim)), "fec89ed50ba925ad957541c08891869594483c998ac3c49ce5cb477efd9adbd9");
+}
+
+TEST(SnapshotBytes, MidLegacyPairingDigestIsPinned) {
+  core::Simulation sim(31);
+  const auto legacy = [](const std::string& name, const std::string& addr) {
+    core::DeviceSpec spec;
+    spec.name = name;
+    spec.address = *BdAddr::parse(addr);
+    spec.host.simple_pairing = false;
+    spec.host.pin_code = "1234";
+    return spec;
+  };
+  core::Device& a = sim.add_device(legacy("old-phone", "00:00:00:00:00:01"));
+  core::Device& b = sim.add_device(legacy("old-headset", "00:00:00:00:00:02"));
+  a.host().enable_snoop(true);
+  b.host().enable_snoop(true);
+  a.host().pair(b.address(), [](hci::Status) {});
+  // Both controllers hold a LegacyContext from their PIN_Code_Request until
+  // the combination key is notified.
+  ASSERT_TRUE(step_until(sim, [&] {
+    return saw_event(a, hci::ev::kPinCodeRequest) && saw_event(b, hci::ev::kPinCodeRequest) &&
+           !saw_event(a, hci::ev::kLinkKeyNotification);
+  }));
+  EXPECT_EQ(digest(Snapshot::capture_relaxed(sim)), "67cbe9532c2e57c8a09e316d4c0b30ddf2ad880760eecb0eb1ef67d2ec8f0bd9");
+}
+
+TEST(SnapshotBytes, MidArqUnderLossDigestIsPinned) {
+  Scenario s = start(Workload{.loss = 0.35});
+  s.accessory->host().pair(s.target->address(), [](hci::Status) {});
+  const auto queued = [&] {
+    for (const auto& device : s.sim->devices())
+      for (const auto& link : device->controller().audit_links())
+        if (link.tx_queue_depth > 0) return true;
+    return false;
+  };
+  ASSERT_TRUE(step_until(*s.sim, queued));
+  ASSERT_TRUE(s.sim->medium().faults_enabled());
+  EXPECT_EQ(digest(Snapshot::capture_relaxed(*s.sim)), "b797255a7bb7801fceb736fe13b7e23c1886cfe3b48d7b8ba1fef41664375848");
 }
 
 }  // namespace
