@@ -113,8 +113,9 @@ class Controller final : public radio::RadioEndpoint {
   /// curve is serialized by coordinate width (24 → P-192, 32 → P-256) since
   /// EcCurve instances are process-global singletons.
   [[nodiscard]] bool quiescent() const;
-  void save_state(state::StateWriter& w) const;
-  void load_state(state::StateReader& r, state::RestoreMode mode);
+  /// Snapshot field list (see state_io.hpp).
+  template <class Io>
+  void visit_state(Io& io);
 
   /// Replace the controller's random stream (the per-trial reseed path).
   void set_rng(Rng rng) { rng_ = rng; }

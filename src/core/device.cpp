@@ -50,23 +50,15 @@ void Device::spoof_identity(const BdAddr& address, ClassOfDevice class_of_device
   controller_->set_class_of_device(class_of_device);
 }
 
-void Device::save_state(state::StateWriter& w) const {
-  w.boolean(radio_enabled_);
-  w.fixed(spec_.address.bytes());
-  w.u32(spec_.class_of_device.raw());
-  transport_->save_state(w);
-  controller_->save_state(w);
-  host_->save_state(w);
+template <class Io>
+void Device::visit_state(Io& io) {
+  io(radio_enabled_, spec_.address, spec_.class_of_device);
+  if (usb_transport_ != nullptr) usb_transport_->visit_state(io);
+  else transport_->visit_state(io);
+  io(*controller_, *host_);
 }
-
-void Device::load_state(state::StateReader& r, state::RestoreMode mode) {
-  radio_enabled_ = r.boolean();
-  spec_.address = BdAddr(r.fixed<BdAddr::kSize>());
-  spec_.class_of_device = ClassOfDevice(r.u32());
-  transport_->load_state(r, mode);
-  controller_->load_state(r, mode);
-  host_->load_state(r, mode);
-}
+template void Device::visit_state(state::Saver&);
+template void Device::visit_state(state::Loader&);
 
 Simulation::Simulation(std::uint64_t seed)
     : rng_(seed), medium_(scheduler_, Rng(seed ^ 0x9E3779B97F4A7C15ULL)) {}

@@ -64,14 +64,15 @@ class Device {
   /// controller and host of this device.
   void set_observer(obs::Observer* observer);
 
-  /// Snapshot support: the device flags plus transport, controller and host
-  /// state in fixed order. The medium's attachment list is serialized by
-  /// the medium itself, so load_state only restores the local flag.
   [[nodiscard]] bool quiescent() const {
     return controller_->quiescent() && host_->quiescent();
   }
-  void save_state(state::StateWriter& w) const;
-  void load_state(state::StateReader& r, state::RestoreMode mode);
+  /// Snapshot field list (see state_io.hpp): the device flags plus
+  /// transport, controller and host state in fixed order. The medium's
+  /// attachment list is serialized by the medium itself, so a restore only
+  /// sets the local radio flag.
+  template <class Io>
+  void visit_state(Io& io);
 
  private:
   radio::RadioMedium& medium_;

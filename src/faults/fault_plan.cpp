@@ -73,50 +73,4 @@ void ChannelModel::corrupt(Bytes& frame) {
   }
 }
 
-void FaultPlan::save_state(state::StateWriter& w) const {
-  w.u64(seed);
-  w.f64(loss);
-  w.boolean(burst_enabled);
-  w.f64(p_enter_burst);
-  w.f64(p_exit_burst);
-  w.f64(burst_loss);
-  w.f64(corruption);
-  w.u64(jam_windows.size());
-  for (const JamWindow& window : jam_windows) {
-    w.u64(window.begin);
-    w.u64(window.end);
-  }
-}
-
-FaultPlan FaultPlan::load_state(state::StateReader& r) {
-  FaultPlan plan;
-  plan.seed = r.u64();
-  plan.loss = r.f64();
-  plan.burst_enabled = r.boolean();
-  plan.p_enter_burst = r.f64();
-  plan.p_exit_burst = r.f64();
-  plan.burst_loss = r.f64();
-  plan.corruption = r.f64();
-  const std::uint64_t windows = r.u64();
-  for (std::uint64_t i = 0; i < windows && r.ok(); ++i) {
-    JamWindow window;
-    window.begin = r.u64();
-    window.end = r.u64();
-    plan.jam_windows.push_back(window);
-  }
-  return plan;
-}
-
-void ChannelModel::save_state(state::StateWriter& w) const {
-  for (const std::uint64_t word : rng_.state()) w.u64(word);
-  w.boolean(in_burst_);
-}
-
-void ChannelModel::load_state(state::StateReader& r) {
-  std::array<std::uint64_t, 4> words{};
-  for (std::uint64_t& word : words) word = r.u64();
-  rng_.set_state(words);
-  in_burst_ = r.boolean();
-}
-
 }  // namespace blap::faults

@@ -32,6 +32,11 @@ namespace blap::faults {
 struct JamWindow {
   SimTime begin = 0;
   SimTime end = 0;
+
+  template <class Io>
+  void visit_state(Io& io) {
+    io(begin, end);
+  }
 };
 
 /// Declarative description of one degraded-RF scenario. All probabilities
@@ -76,10 +81,12 @@ struct FaultPlan {
   /// Short human-readable summary for bench banners and campaign labels.
   [[nodiscard]] std::string describe() const;
 
-  /// Snapshot/bundle serialization: a plan is plain data, round-tripped
-  /// field by field.
-  void save_state(state::StateWriter& w) const;
-  [[nodiscard]] static FaultPlan load_state(state::StateReader& r);
+  /// Snapshot/bundle field list (see state_io.hpp): a plan is plain data.
+  template <class Io>
+  void visit_state(Io& io) {
+    io(seed, loss, burst_enabled, p_enter_burst, p_exit_burst, burst_loss, corruption,
+       jam_windows);
+  }
 };
 
 /// Why (or whether) a frame survived the channel.
@@ -111,11 +118,13 @@ class ChannelModel {
   /// Currently inside a Gilbert-Elliott bad state?
   [[nodiscard]] bool in_burst() const { return in_burst_; }
 
-  /// Snapshot support: the mutable per-link channel state (Rng stream +
-  /// burst flag). The plan itself is serialized by the owning medium;
-  /// load_state is called on a model freshly built from that plan.
-  void save_state(state::StateWriter& w) const;
-  void load_state(state::StateReader& r);
+  /// Snapshot field list: the mutable per-link channel state (Rng stream +
+  /// burst flag). The plan itself is serialized by the owning medium, which
+  /// restores onto a model freshly built from that plan.
+  template <class Io>
+  void visit_state(Io& io) {
+    io(rng_, in_burst_);
+  }
 
  private:
   FaultPlan plan_;  // by value: the model must not dangle if the medium's plan is swapped

@@ -235,32 +235,4 @@ std::string SnoopLog::format_table() const {
   return out;
 }
 
-void SnoopLog::save_state(state::StateWriter& w) const {
-  w.boolean(static_cast<bool>(filter_));
-  w.u64(records_.size());
-  for (const SnoopRecord& record : records_) {
-    w.u64(record.timestamp_us);
-    w.u8(static_cast<std::uint8_t>(record.direction));
-    w.u8(static_cast<std::uint8_t>(record.packet.type));
-    w.bytes(record.packet.payload);
-    w.u32(record.original_length);
-  }
-}
-
-void SnoopLog::load_state(state::StateReader& r, state::RestoreMode mode) {
-  const bool had_filter = r.boolean();
-  if (mode == state::RestoreMode::kRewind && !had_filter) filter_ = nullptr;
-  records_.clear();
-  const std::uint64_t count = r.u64();
-  for (std::uint64_t i = 0; i < count && r.ok(); ++i) {
-    SnoopRecord record;
-    record.timestamp_us = r.u64();
-    record.direction = static_cast<Direction>(r.u8());
-    record.packet.type = static_cast<PacketType>(r.u8());
-    record.packet.payload = r.bytes();
-    record.original_length = r.u32();
-    records_.push_back(std::move(record));
-  }
-}
-
 }  // namespace blap::hci

@@ -173,14 +173,22 @@ class SnoopLog {
   /// Command/Event/Status columns).
   [[nodiscard]] std::string format_table() const;
 
-  /// Snapshot support. Records round-trip field by field — serialize()/
-  /// parse() would lose original_length==0 distinctions — and load_state
+  /// Snapshot field list. Records round-trip field by field — serialize()/
+  /// parse() would lose original_length==0 distinctions — and a restore
   /// bypasses the filter (the records were already filtered when first
   /// appended). A kRewind restore also clears a filter installed after a
   /// filter-free capture; a capture-time filter cannot be reconstructed and
   /// is left in place.
-  void save_state(state::StateWriter& w) const;
-  void load_state(state::StateReader& r, state::RestoreMode mode);
+  template <class Io>
+  void visit_state(Io& io) {
+    bool had_filter = static_cast<bool>(filter_);
+    io(had_filter);
+    if (io.rewind() && !had_filter) filter_ = nullptr;
+    io.seq(records_, [&](SnoopRecord& record) {
+      io(record.timestamp_us, record.direction, record.packet.type, record.packet.payload,
+         record.original_length);
+    });
+  }
 
  private:
   std::vector<SnoopRecord> records_;

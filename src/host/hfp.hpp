@@ -60,31 +60,11 @@ class HfpProfile {
 
   /// Snapshot support: the full gateway-side state (call flag, tx sequence,
   /// received audio, AT log). HFP holds no completion callbacks.
-  void save_state(state::StateWriter& w) const {
-    w.boolean(call_active_);
-    w.u16(tx_sequence_);
-    w.u64(received_.size());
-    for (const AudioFrame& frame : received_) {
-      w.u16(frame.sequence);
-      w.bytes(frame.samples);
-    }
-    w.u64(at_log_.size());
-    for (const std::string& line : at_log_) w.str(line);
-  }
-  void load_state(state::StateReader& r) {
-    call_active_ = r.boolean();
-    tx_sequence_ = r.u16();
-    received_.clear();
-    const std::uint64_t frames = r.u64();
-    for (std::uint64_t i = 0; i < frames && r.ok(); ++i) {
-      AudioFrame frame;
-      frame.sequence = r.u16();
-      frame.samples = r.bytes();
-      received_.push_back(std::move(frame));
-    }
-    at_log_.clear();
-    const std::uint64_t lines = r.u64();
-    for (std::uint64_t i = 0; i < lines && r.ok(); ++i) at_log_.push_back(r.str());
+  template <class Io>
+  void visit_state(Io& io) {
+    io(call_active_, tx_sequence_);
+    io.seq(received_, [&](AudioFrame& frame) { io(frame.sequence, frame.samples); });
+    io(at_log_);
   }
 
  private:

@@ -1093,236 +1093,53 @@ bool HostStack::quiescent() const {
          pbap_.quiescent() && map_.quiescent();
 }
 
-void HostStack::save_state(state::StateWriter& w) const {
+template <class Io>
+void HostStack::visit_state(Io& io) {
   // Config (trials mutate io_capability, hci_dump_available, simple_pairing,
   // fault_recovery, ... — all of it is restored).
-  w.str(config_.device_name);
-  w.u8(static_cast<std::uint8_t>(config_.version));
-  w.u8(static_cast<std::uint8_t>(config_.io_capability));
-  w.u8(config_.auth_requirements);
-  w.boolean(config_.auto_accept_connections);
-  w.u64(config_.acl_idle_timeout);
-  w.boolean(config_.hci_dump_available);
-  w.boolean(config_.detect_page_blocking);
-  w.str(config_.pin_code);
-  w.boolean(config_.simple_pairing);
-  w.boolean(config_.fault_recovery);
-  w.u64(config_.pair_op_watchdog);
+  io(config_.device_name, config_.version, config_.io_capability, config_.auth_requirements,
+     config_.auto_accept_connections, config_.acl_idle_timeout, config_.hci_dump_available,
+     config_.detect_page_blocking, config_.pin_code, config_.simple_pairing,
+     config_.fault_recovery, config_.pair_op_watchdog);
+  io(own_address_, hooks_.ignore_link_key_request, hooks_.ploc_delay,
+     hooks_.ignore_connection_request);
+  io(security_, l2cap_, sdp_server_, pan_, pbap_, hfp_, map_, hfp_channels_);
+  io.optional(map_read_, [&](MapReadState& read) {
+    io(read.channel, read.handles, read.next_index, read.bodies);
+  });
 
-  w.fixed(own_address_.bytes());
-  w.boolean(hooks_.ignore_link_key_request);
-  w.u64(hooks_.ploc_delay);
-  w.boolean(hooks_.ignore_connection_request);
-
-  security_.save_state(w);
-  l2cap_.save_state(w);
-  sdp_server_.save_state(w);
-  pan_.save_state(w);
-  pbap_.save_state(w);
-  hfp_.save_state(w);
-  map_.save_state(w);
-
-  w.u64(hfp_channels_.size());
-  for (const auto& [peer, channel] : hfp_channels_) {
-    w.fixed(peer.bytes());
-    w.u16(channel.acl_handle);
-    w.u16(channel.local_cid);
-    w.u16(channel.remote_cid);
-    w.u16(channel.psm);
-  }
-
-  w.boolean(map_read_.has_value());
-  if (map_read_.has_value()) {
-    w.u16(map_read_->channel.acl_handle);
-    w.u16(map_read_->channel.local_cid);
-    w.u16(map_read_->channel.remote_cid);
-    w.u16(map_read_->channel.psm);
-    w.u64(map_read_->handles.size());
-    for (const std::uint16_t handle : map_read_->handles) w.u16(handle);
-    w.u64(map_read_->next_index);
-    w.u64(map_read_->bodies.size());
-    for (const std::string& body : map_read_->bodies) w.str(body);
-  }
-
-  w.boolean(user_agent_ == &default_user_);
-
-  w.u64(acls_.size());
-  for (const auto& [handle, acl] : acls_) {
-    w.u16(acl.handle);
-    w.fixed(acl.peer.bytes());
-    w.boolean(acl.initiator);
-    w.boolean(acl.authenticated);
-    w.boolean(acl.encrypted);
-    w.u8(static_cast<std::uint8_t>(acl.peer_io));
-    w.boolean(acl.is_pairing_initiator);
-    w.boolean(acl.degraded);
-    w.u64(acl.last_activity);
-  }
-
-  w.u32(static_cast<std::uint32_t>(detected_page_blocking_count_));
-  w.u64(discovery_results_.size());
-  for (const Discovered& found : discovery_results_) {
-    w.fixed(found.address.bytes());
-    w.u32(found.class_of_device.raw());
-    w.str(found.name);
-    w.u8(static_cast<std::uint8_t>(found.rssi));
-  }
-
-  w.boolean(ploc_active_);
-  w.u64(ploc_queue_.size());
-  for (const hci::HciPacket& packet : ploc_queue_) {
-    w.u8(static_cast<std::uint8_t>(packet.type));
-    w.bytes(packet.payload);
-  }
-
-  w.boolean(snoop_enabled_);
-  snoop_.save_state(w);
-
-  w.u32(static_cast<std::uint32_t>(ignored_link_key_requests_));
-  w.u64(popups_.size());
-  for (const PopupRecord& popup : popups_) {
-    w.fixed(popup.peer.bytes());
-    w.boolean(popup.shown_to_user);
-    w.boolean(popup.numeric_value.has_value());
-    if (popup.numeric_value.has_value()) w.u32(*popup.numeric_value);
-    w.boolean(popup.accepted);
-    w.u64(popup.at);
-  }
-  w.u64(pairing_events_.size());
-  for (const auto& [peer, success] : pairing_events_) {
-    w.fixed(peer.bytes());
-    w.boolean(success);
-  }
-}
-
-void HostStack::load_state(state::StateReader& r, state::RestoreMode mode) {
-  config_.device_name = r.str();
-  config_.version = static_cast<BtVersion>(r.u8());
-  config_.io_capability = static_cast<hci::IoCapability>(r.u8());
-  config_.auth_requirements = r.u8();
-  config_.auto_accept_connections = r.boolean();
-  config_.acl_idle_timeout = r.u64();
-  config_.hci_dump_available = r.boolean();
-  config_.detect_page_blocking = r.boolean();
-  config_.pin_code = r.str();
-  config_.simple_pairing = r.boolean();
-  config_.fault_recovery = r.boolean();
-  config_.pair_op_watchdog = r.u64();
-
-  own_address_ = BdAddr(r.fixed<BdAddr::kSize>());
-  hooks_.ignore_link_key_request = r.boolean();
-  hooks_.ploc_delay = r.u64();
-  hooks_.ignore_connection_request = r.boolean();
-
-  security_.load_state(r);
-  l2cap_.load_state(r, mode);
-  sdp_server_.load_state(r);
-  pan_.load_state(r);
-  pbap_.load_state(r);
-  hfp_.load_state(r);
-  map_.load_state(r);
-
-  hfp_channels_.clear();
-  const std::uint64_t hfp_count = r.u64();
-  for (std::uint64_t i = 0; i < hfp_count && r.ok(); ++i) {
-    const BdAddr peer(r.fixed<BdAddr::kSize>());
-    L2capChannel channel;
-    channel.acl_handle = r.u16();
-    channel.local_cid = r.u16();
-    channel.remote_cid = r.u16();
-    channel.psm = r.u16();
-    hfp_channels_.emplace(peer, channel);
-  }
-
-  map_read_.reset();
-  if (r.boolean()) {
-    MapReadState read;
-    read.channel.acl_handle = r.u16();
-    read.channel.local_cid = r.u16();
-    read.channel.remote_cid = r.u16();
-    read.channel.psm = r.u16();
-    const std::uint64_t handle_count = r.u64();
-    for (std::uint64_t i = 0; i < handle_count && r.ok(); ++i)
-      read.handles.push_back(r.u16());
-    read.next_index = static_cast<std::size_t>(r.u64());
-    const std::uint64_t body_count = r.u64();
-    for (std::uint64_t i = 0; i < body_count && r.ok(); ++i)
-      read.bodies.push_back(r.str());
-    map_read_ = std::move(read);
-  }
-
-  const bool default_agent = r.boolean();
-  if (mode == state::RestoreMode::kRewind && default_agent) user_agent_ = &default_user_;
+  bool default_agent = user_agent_ == &default_user_;
+  io(default_agent);
+  if (io.rewind() && default_agent) user_agent_ = &default_user_;
 
   // ACLs: in kInPlace mode the armed idle timers keep their handles; in
   // kRewind mode every handle is stale by construction (the scheduler was
   // rewound), so a default EventHandle is the correct restored value.
-  std::map<hci::ConnectionHandle, Acl> restored;
-  const std::uint64_t acl_count = r.u64();
-  for (std::uint64_t i = 0; i < acl_count && r.ok(); ++i) {
-    Acl acl;
-    acl.handle = r.u16();
-    acl.peer = BdAddr(r.fixed<BdAddr::kSize>());
-    acl.initiator = r.boolean();
-    acl.authenticated = r.boolean();
-    acl.encrypted = r.boolean();
-    acl.peer_io = static_cast<hci::IoCapability>(r.u8());
-    acl.is_pairing_initiator = r.boolean();
-    acl.degraded = r.boolean();
-    acl.last_activity = r.u64();
-    if (mode == state::RestoreMode::kInPlace) {
+  const auto handle_of = [](const Acl& acl) { return acl.handle; };
+  io.keyed(acls_, handle_of, [&](Acl& acl) {
+    io(acl.handle, acl.peer, acl.initiator, acl.authenticated, acl.encrypted, acl.peer_io,
+       acl.is_pairing_initiator, acl.degraded, acl.last_activity);
+    if (io.in_place()) {
       if (const auto it = acls_.find(acl.handle); it != acls_.end())
         acl.idle_timer = it->second.idle_timer;
     }
-    restored.emplace(acl.handle, std::move(acl));
-  }
-  if (r.ok()) acls_ = std::move(restored);
+  });
 
-  detected_page_blocking_count_ = static_cast<int>(r.u32());
-  discovery_results_.clear();
-  const std::uint64_t discovered = r.u64();
-  for (std::uint64_t i = 0; i < discovered && r.ok(); ++i) {
-    Discovered found;
-    found.address = BdAddr(r.fixed<BdAddr::kSize>());
-    found.class_of_device = ClassOfDevice(r.u32());
-    found.name = r.str();
-    found.rssi = static_cast<std::int8_t>(r.u8());
-    discovery_results_.push_back(std::move(found));
-  }
+  io.u32(detected_page_blocking_count_);
+  io.seq(discovery_results_, [&](Discovered& found) {
+    io(found.address, found.class_of_device, found.name);
+    io.u8(found.rssi);
+  });
+  io(ploc_active_);
+  io.seq(ploc_queue_, [&](hci::HciPacket& packet) { io(packet.type, packet.payload); });
+  io(snoop_enabled_, snoop_);
+  io.u32(ignored_link_key_requests_);
+  io.seq(popups_, [&](PopupRecord& popup) {
+    io(popup.peer, popup.shown_to_user, popup.numeric_value, popup.accepted, popup.at);
+  });
+  io(pairing_events_);
 
-  ploc_active_ = r.boolean();
-  ploc_queue_.clear();
-  const std::uint64_t queued = r.u64();
-  for (std::uint64_t i = 0; i < queued && r.ok(); ++i) {
-    hci::HciPacket packet;
-    packet.type = static_cast<hci::PacketType>(r.u8());
-    packet.payload = r.bytes();
-    ploc_queue_.push_back(std::move(packet));
-  }
-
-  snoop_enabled_ = r.boolean();
-  snoop_.load_state(r, mode);
-
-  ignored_link_key_requests_ = static_cast<int>(r.u32());
-  popups_.clear();
-  const std::uint64_t popup_count = r.u64();
-  for (std::uint64_t i = 0; i < popup_count && r.ok(); ++i) {
-    PopupRecord popup;
-    popup.peer = BdAddr(r.fixed<BdAddr::kSize>());
-    popup.shown_to_user = r.boolean();
-    if (r.boolean()) popup.numeric_value = r.u32();
-    popup.accepted = r.boolean();
-    popup.at = r.u64();
-    popups_.push_back(popup);
-  }
-  pairing_events_.clear();
-  const std::uint64_t event_count = r.u64();
-  for (std::uint64_t i = 0; i < event_count && r.ok(); ++i) {
-    const BdAddr peer(r.fixed<BdAddr::kSize>());
-    pairing_events_.emplace_back(peer, r.boolean());
-  }
-
-  if (mode == state::RestoreMode::kRewind) {
+  if (io.rewind()) {
     // Callback-holding residue from the aborted trial: a strict capture
     // point had none of it, so dropping it restores the captured state.
     pair_op_.reset();
@@ -1337,5 +1154,7 @@ void HostStack::load_state(state::StateReader& r, state::RestoreMode mode) {
     obs_ploc_span_ = 0;
   }
 }
+template void HostStack::visit_state(state::Saver&);
+template void HostStack::visit_state(state::Loader&);
 
 }  // namespace blap::host

@@ -174,35 +174,4 @@ std::size_t L2cap::channel_count(hci::ConnectionHandle handle) const {
   return count;
 }
 
-void L2cap::save_state(state::StateWriter& w) const {
-  w.u64(channels_.size());
-  for (const auto& [key, channel] : channels_) {
-    w.u16(channel.acl_handle);
-    w.u16(channel.local_cid);
-    w.u16(channel.remote_cid);
-    w.u16(channel.psm);
-  }
-  w.u16(next_cid_);
-  w.u8(next_id_);
-}
-
-void L2cap::load_state(state::StateReader& r, state::RestoreMode mode) {
-  channels_.clear();
-  const std::uint64_t channel_count = r.u64();
-  for (std::uint64_t i = 0; i < channel_count && r.ok(); ++i) {
-    L2capChannel channel;
-    channel.acl_handle = r.u16();
-    channel.local_cid = r.u16();
-    channel.remote_cid = r.u16();
-    channel.psm = r.u16();
-    channels_.emplace(std::make_pair(channel.acl_handle, channel.local_cid), channel);
-  }
-  next_cid_ = r.u16();
-  next_id_ = r.u8();
-  if (mode == state::RestoreMode::kRewind) {
-    pending_.clear();
-    pending_echo_.clear();
-  }
-}
-
 }  // namespace blap::host

@@ -29,6 +29,11 @@ struct L2capChannel {
   std::uint16_t local_cid = 0;
   std::uint16_t remote_cid = 0;
   std::uint16_t psm = 0;
+
+  template <class Io>
+  void visit_state(Io& io) {
+    io(acl_handle, local_cid, remote_cid, psm);
+  }
 };
 
 class L2cap {
@@ -96,12 +101,22 @@ class L2cap {
   /// precondition for a strict (forkable) snapshot of this layer.
   [[nodiscard]] bool quiescent() const { return pending_.empty() && pending_echo_.empty(); }
 
-  /// Snapshot support: established channels and the CID/signaling-id
+  /// Snapshot field list: established channels and the CID/signaling-id
   /// allocators. Pending connects/echoes hold callbacks and are not
   /// serialized: kRewind clears them (a strict capture point has none),
   /// kInPlace leaves them running.
-  void save_state(state::StateWriter& w) const;
-  void load_state(state::StateReader& r, state::RestoreMode mode);
+  template <class Io>
+  void visit_state(Io& io) {
+    const auto key_of = [](const L2capChannel& channel) {
+      return std::make_pair(channel.acl_handle, channel.local_cid);
+    };
+    io.keyed(channels_, key_of, [&](L2capChannel& channel) { io(channel); });
+    io(next_cid_, next_id_);
+    if (io.rewind()) {
+      pending_.clear();
+      pending_echo_.clear();
+    }
+  }
 
  private:
   struct PendingConnect {

@@ -65,22 +65,10 @@ class MapProfile {
     list_callback_ = nullptr;
     get_callback_ = nullptr;
   }
-  void save_state(state::StateWriter& w) const {
-    w.u64(messages_.size());
-    for (const auto& [handle, body] : messages_) {
-      w.u16(handle);
-      w.str(body);
-    }
-    w.u32(static_cast<std::uint32_t>(serves_));
-  }
-  void load_state(state::StateReader& r) {
-    messages_.clear();
-    const std::uint64_t count = r.u64();
-    for (std::uint64_t i = 0; i < count && r.ok(); ++i) {
-      const std::uint16_t handle = r.u16();
-      messages_[handle] = r.str();
-    }
-    serves_ = static_cast<int>(r.u32());
+  template <class Io>
+  void visit_state(Io& io) {
+    io(messages_);
+    io.u32(serves_);
   }
 
  private:

@@ -44,11 +44,9 @@ class PanProfile {
   /// residue cleanup.
   [[nodiscard]] bool quiescent() const { return !client_callback_; }
   void reset_pending() { client_callback_ = nullptr; }
-  void save_state(state::StateWriter& w) const {
-    w.u32(static_cast<std::uint32_t>(server_sessions_));
-  }
-  void load_state(state::StateReader& r) {
-    server_sessions_ = static_cast<int>(r.u32());
+  template <class Io>
+  void visit_state(Io& io) {
+    io.u32(server_sessions_);
   }
 
  private:

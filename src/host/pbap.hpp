@@ -53,16 +53,10 @@ class PbapProfile {
   /// Snapshot support (callback handling as in PanProfile).
   [[nodiscard]] bool quiescent() const { return !client_callback_; }
   void reset_pending() { client_callback_ = nullptr; }
-  void save_state(state::StateWriter& w) const {
-    w.u64(phonebook_.size());
-    for (const std::string& entry : phonebook_) w.str(entry);
-    w.u32(static_cast<std::uint32_t>(serves_));
-  }
-  void load_state(state::StateReader& r) {
-    phonebook_.clear();
-    const std::uint64_t count = r.u64();
-    for (std::uint64_t i = 0; i < count && r.ok(); ++i) phonebook_.push_back(r.str());
-    serves_ = static_cast<int>(r.u32());
+  template <class Io>
+  void visit_state(Io& io) {
+    io(phonebook_);
+    io.u32(serves_);
   }
 
  private:

@@ -34,14 +34,9 @@ class SdpServer {
   [[nodiscard]] const std::vector<std::uint16_t>& services() const { return services_; }
 
   /// Snapshot support: the registered service records.
-  void save_state(state::StateWriter& w) const {
-    w.u64(services_.size());
-    for (const std::uint16_t uuid16 : services_) w.u16(uuid16);
-  }
-  void load_state(state::StateReader& r) {
-    services_.clear();
-    const std::uint64_t count = r.u64();
-    for (std::uint64_t i = 0; i < count && r.ok(); ++i) services_.push_back(r.u16());
+  template <class Io>
+  void visit_state(Io& io) {
+    io(services_);
   }
 
  private:

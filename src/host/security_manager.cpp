@@ -160,48 +160,18 @@ SecurityManager SecurityManager::from_bt_config(const std::string& text) {
   return manager;
 }
 
-void SecurityManager::save_state(state::StateWriter& w) const {
-  w.u64(bonds_.size());
-  for (const auto& [address, bond] : bonds_) {
-    w.fixed(address.bytes());
-    w.str(bond.name);
+template <class Io>
+void SecurityManager::visit_state(Io& io) {
+  const auto address_of = [](const BondRecord& bond) { return bond.address; };
+  io.keyed(bonds_, address_of, [&](BondRecord& bond) {
+    io(bond.address, bond.name);
     // blap-taint: declassified — snapshot key section (bond store)
-    w.fixed(bond.link_key);
-    w.u8(static_cast<std::uint8_t>(bond.key_type));
-    w.u64(bond.services.size());
-    for (const Uuid& service : bond.services) w.fixed(service.bytes());
-  }
-  w.u64(failed_attempts_.size());
-  for (const auto& [address, attempts] : failed_attempts_) {
-    w.fixed(address.bytes());
-    w.u32(attempts);
-  }
-  w.u32(retry_policy_.max_attempts);
-  w.u64(retry_policy_.initial_backoff);
+    io(bond.link_key);
+    io(bond.key_type, bond.services);
+  });
+  io(failed_attempts_, retry_policy_.max_attempts, retry_policy_.initial_backoff);
 }
-
-void SecurityManager::load_state(state::StateReader& r) {
-  bonds_.clear();
-  const std::uint64_t bond_count = r.u64();
-  for (std::uint64_t i = 0; i < bond_count && r.ok(); ++i) {
-    BondRecord bond;
-    bond.address = BdAddr(r.fixed<BdAddr::kSize>());
-    bond.name = r.str();
-    bond.link_key = r.fixed<std::tuple_size_v<crypto::LinkKey>>();
-    bond.key_type = static_cast<crypto::LinkKeyType>(r.u8());
-    const std::uint64_t service_count = r.u64();
-    for (std::uint64_t s = 0; s < service_count && r.ok(); ++s)
-      bond.services.push_back(Uuid(r.fixed<Uuid::kSize>()));
-    bonds_.emplace(bond.address, std::move(bond));
-  }
-  failed_attempts_.clear();
-  const std::uint64_t failure_count = r.u64();
-  for (std::uint64_t i = 0; i < failure_count && r.ok(); ++i) {
-    const BdAddr address(r.fixed<BdAddr::kSize>());
-    failed_attempts_[address] = r.u32();
-  }
-  retry_policy_.max_attempts = r.u32();
-  retry_policy_.initial_backoff = r.u64();
-}
+template void SecurityManager::visit_state(state::Saver&);
+template void SecurityManager::visit_state(state::Loader&);
 
 }  // namespace blap::host

@@ -203,9 +203,9 @@ void RadioMedium::page(RadioEndpoint* initiator, const BdAddr& target, SimTime t
     // stale on detach, so this is O(1) — and, unlike the pointer scan it
     // replaces, immune to an endpoint detaching and re-attaching in the
     // window (a new attachment is a new generation).
-    RadioEndpoint* initiator = registry_.resolve(initiator_handle);
+    RadioEndpoint* live_initiator = registry_.resolve(initiator_handle);
     RadioEndpoint* responder = registry_.resolve(winner_handle);
-    if (initiator == nullptr || responder == nullptr) {
+    if (live_initiator == nullptr || responder == nullptr) {
       if (on_result) on_result(std::nullopt);
       return;
     }
@@ -216,7 +216,7 @@ void RadioMedium::page(RadioEndpoint* initiator, const BdAddr& target, SimTime t
       return;
     }
     Link link;
-    link.a = initiator;
+    link.a = live_initiator;
     link.b = responder;
     link.a_handle = initiator_handle;
     link.b_handle = winner_handle;
@@ -229,17 +229,17 @@ void RadioMedium::page(RadioEndpoint* initiator, const BdAddr& target, SimTime t
       obs_->instant(scheduler_.now(), obs_->device_tid(responder->radio_name()),
                     obs::Layer::kRadio, "link_up",
                     strfmt("link %llu, paged by %s", static_cast<unsigned long long>(id),
-                           initiator->radio_name().c_str()));
+                           live_initiator->radio_name().c_str()));
     }
     BLAP_DEBUG("radio", "link %llu up: %s -> %s", static_cast<unsigned long long>(id),
-               initiator->radio_address().to_string().c_str(),
+               live_initiator->radio_address().to_string().c_str(),
                responder->radio_address().to_string().c_str());
     // The responder's baseband misses the link-up (its POLL/NULL handshake
     // was jammed): the link exists but only the initiator knows. The
     // initiator's LMP response timeout is the genuine recovery path.
     if (!BLAP_FAILPOINT("radio.link.responder_notify_lost"))
-      responder->on_link_established(id, initiator->radio_address(), false);
-    initiator->on_link_established(id, responder->radio_address(), true);
+      responder->on_link_established(id, live_initiator->radio_address(), false);
+    live_initiator->on_link_established(id, responder->radio_address(), true);
     if (on_result) on_result(id);
   });
 }
@@ -295,9 +295,9 @@ void RadioMedium::send_frame(LinkId link, RadioEndpoint* sender, Bytes frame,
       // handle going stale with the link still up cannot happen, but the
       // resolve keeps the dereference provably safe.
       if (!links_.contains(link)) return;
-      RadioEndpoint* receiver = registry_.resolve(receiver_handle);
-      if (receiver == nullptr) return;
-      receiver->on_air_frame(link, frame);
+      RadioEndpoint* live_receiver = registry_.resolve(receiver_handle);
+      if (live_receiver == nullptr) return;
+      live_receiver->on_air_frame(link, frame);
     });
   }
   if (on_report) {
@@ -436,108 +436,74 @@ void RadioMedium::set_fault_plan(faults::FaultPlan plan) {
                        : nullptr;
 }
 
-bool RadioMedium::save_state(state::StateWriter& w,
-                             std::span<RadioEndpoint* const> roster) const {
+template <class Io>
+void RadioMedium::visit_state(Io& io, std::span<RadioEndpoint* const> roster) {
   std::map<const RadioEndpoint*, std::uint64_t> roster_index;
-  for (std::size_t i = 0; i < roster.size(); ++i)
-    roster_index.emplace(roster[i], static_cast<std::uint64_t>(i));
-  const auto index_of = [&roster_index](const RadioEndpoint* endpoint) -> std::int64_t {
-    const auto it = roster_index.find(endpoint);
-    return it == roster_index.end() ? -1 : static_cast<std::int64_t>(it->second);
+  if constexpr (!Io::kLoading)
+    for (std::size_t i = 0; i < roster.size(); ++i)
+      roster_index.emplace(roster[i], static_cast<std::uint64_t>(i));
+  const auto endpoint = [&](RadioEndpoint*& ep) {
+    std::uint64_t index = 0;
+    if constexpr (!Io::kLoading) {
+      const auto it = roster_index.find(ep);
+      if (it == roster_index.end()) io.fail("endpoint outside the simulation roster");
+      else index = it->second;
+    }
+    io(index);
+    if constexpr (Io::kLoading) {
+      ep = index < roster.size() ? roster[static_cast<std::size_t>(index)] : nullptr;
+      if (ep == nullptr) io.fail("endpoint index out of range");
+    }
   };
 
-  w.u64(frame_latency_);
-  w.u64(next_link_id_);
-  for (const std::uint64_t word : rng_.state()) w.u64(word);
-  fault_plan_.save_state(w);
-  w.u64(sniffers_.size());
+  io(frame_latency_, next_link_id_, rng_, fault_plan_);
+  io.live_count(sniffers_);
 
   // Attachment set, in attach order (the paging race draws candidate
   // latencies in attach order, so the order is behaviourally significant).
-  w.u64(registry_.size());
-  bool all_resolved = true;
-  registry_.for_each_attached([&](const RadioEndpoint* endpoint) {
-    const std::int64_t index = index_of(endpoint);
-    if (index < 0) {
-      all_resolved = false;
-      return;
-    }
-    w.u64(static_cast<std::uint64_t>(index));
-  });
-  if (!all_resolved) return false;
-
-  w.u64(links_.size());
-  for (const auto& [id, link] : links_) {
-    const std::int64_t a = index_of(link.a);
-    const std::int64_t b = index_of(link.b);
-    if (a < 0 || b < 0) return false;
-    w.u64(id);
-    w.u64(static_cast<std::uint64_t>(a));
-    w.u64(static_cast<std::uint64_t>(b));
-    w.boolean(link.channel != nullptr);
-    if (link.channel != nullptr) link.channel->save_state(w);
-  }
-  return true;
-}
-
-void RadioMedium::load_state(state::StateReader& r,
-                             std::span<RadioEndpoint* const> roster,
-                             state::RestoreMode mode) {
-  frame_latency_ = r.u64();
-  next_link_id_ = r.u64();
-  std::array<std::uint64_t, 4> words{};
-  for (std::uint64_t& word : words) word = r.u64();
-  rng_.set_state(words);
-  fault_plan_ = faults::FaultPlan::load_state(r);
-
-  const std::uint64_t sniffer_count = r.u64();
-  if (mode == state::RestoreMode::kRewind && sniffers_.size() > sniffer_count)
-    sniffers_.resize(static_cast<std::size_t>(sniffer_count));
-
-  const auto endpoint_at = [&](std::uint64_t index) -> RadioEndpoint* {
-    if (index >= roster.size()) {
-      r.fail("endpoint index out of range");
-      return nullptr;
-    }
-    return roster[static_cast<std::size_t>(index)];
-  };
-
-  const std::uint64_t attached = r.u64();
   std::vector<RadioEndpoint*> in_order;
-  in_order.reserve(static_cast<std::size_t>(attached));
-  for (std::uint64_t i = 0; i < attached && r.ok(); ++i) {
-    RadioEndpoint* endpoint = endpoint_at(r.u64());
-    if (endpoint != nullptr) in_order.push_back(endpoint);
+  if constexpr (!Io::kLoading)
+    registry_.for_each_attached([&](RadioEndpoint* ep) { in_order.push_back(ep); });
+  io.seq(in_order, endpoint);
+  if constexpr (Io::kLoading) {
+    if (!io.ok()) return;
+    // The registry indexes each endpoint's *current* virtuals here; device
+    // sections restore after the medium's, and Controller::visit_state ends
+    // with notify_endpoint_changed(), which re-syncs address and scan bits.
+    registry_.load(in_order);
+    std::size_t max_slot = 0;
+    for (RadioEndpoint* ep : in_order)
+      max_slot = std::max<std::size_t>(max_slot, registry_.handle_of(ep).slot + 1);
+    if (links_of_slot_.size() < max_slot) links_of_slot_.resize(max_slot);
+    for (auto& slot_links : links_of_slot_) slot_links.clear();
+    link_index_.clear();
   }
-  // The registry indexes each endpoint's *current* virtuals here; device
-  // sections restore after the medium's, and Controller::load_state ends
-  // with notify_endpoint_changed(), which re-syncs address and scan bits.
-  registry_.load(in_order);
-  std::size_t max_slot = 0;
-  for (RadioEndpoint* endpoint : in_order)
-    max_slot = std::max<std::size_t>(max_slot, registry_.handle_of(endpoint).slot + 1);
-  if (links_of_slot_.size() < max_slot) links_of_slot_.resize(max_slot);
-  for (auto& slot_links : links_of_slot_) slot_links.clear();
-  link_index_.clear();
 
-  links_.clear();
-  const std::uint64_t stored_links = r.u64();
-  for (std::uint64_t i = 0; i < stored_links && r.ok(); ++i) {
-    const LinkId id = r.u64();
-    Link link;
-    link.a = endpoint_at(r.u64());
-    link.b = endpoint_at(r.u64());
-    link.a_handle = registry_.handle_of(link.a);
-    link.b_handle = registry_.handle_of(link.b);
-    if (r.boolean()) {
+  io.map(links_, [&](LinkId id, Link& link) {
+    endpoint(link.a);
+    endpoint(link.b);
+    bool has_channel = link.channel != nullptr;
+    io(has_channel);
+    if (!has_channel) return;
+    if constexpr (Io::kLoading)
       link.channel = std::make_unique<faults::ChannelModel>(fault_plan_, id);
-      link.channel->load_state(r);
-    }
-    if (r.ok() && link.a_handle.valid() && link.b_handle.valid()) {
-      Link& stored = links_[id] = std::move(link);
-      index_link(id, stored);
+    io(*link.channel);
+  });
+  if constexpr (Io::kLoading) {
+    for (auto it = links_.begin(); it != links_.end();) {
+      Link& link = it->second;
+      link.a_handle = registry_.handle_of(link.a);
+      link.b_handle = registry_.handle_of(link.b);
+      if (!link.a_handle.valid() || !link.b_handle.valid()) {
+        it = links_.erase(it);
+        continue;
+      }
+      index_link(it->first, link);
+      ++it;
     }
   }
 }
+template void RadioMedium::visit_state(state::Saver&, std::span<RadioEndpoint* const>);
+template void RadioMedium::visit_state(state::Loader&, std::span<RadioEndpoint* const>);
 
 }  // namespace blap::radio

@@ -191,19 +191,17 @@ class RadioMedium {
   /// Table II baseline, page timeouts and frame counts.
   void set_observer(obs::Observer* observer) { obs_ = observer; }
 
-  /// Snapshot support. Endpoints are identified by their index into
-  /// `roster` — the simulation's canonical endpoint list in device order —
-  /// because BD_ADDRs are spoofable mid-scenario and pointers are not
-  /// serializable. save_state fails the writer-side contract loudly (via
-  /// the returned false) if a link references an endpoint outside the
-  /// roster. load_state rebuilds links_ (with channel models re-derived
-  /// from the restored fault plan) and, in kRewind mode, truncates the
-  /// sniffer list back to the captured count — dropping exactly the
-  /// sniffers a trial added after the capture point.
-  bool save_state(state::StateWriter& w,
-                  std::span<RadioEndpoint* const> roster) const;
-  void load_state(state::StateReader& r, std::span<RadioEndpoint* const> roster,
-                  state::RestoreMode mode);
+  /// Snapshot field list (see state_io.hpp). Endpoints are identified by
+  /// their index into `roster` — the simulation's canonical endpoint list in
+  /// device order — because BD_ADDRs are spoofable mid-scenario and
+  /// pointers are not serializable. Capture fails the writer-side contract
+  /// loudly (Saver::ok() turns false) if the attachment set or a link
+  /// references an endpoint outside the roster. Restore rebuilds links_
+  /// (with channel models re-derived from the restored fault plan) and, in
+  /// kRewind mode, truncates the sniffer list back to the captured count —
+  /// dropping exactly the sniffers a trial added after the capture point.
+  template <class Io>
+  void visit_state(Io& io, std::span<RadioEndpoint* const> roster);
 
   /// Replace the medium's own jitter stream (the per-trial reseed path).
   void set_rng(Rng rng) { rng_ = rng; }

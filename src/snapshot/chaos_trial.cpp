@@ -64,8 +64,11 @@ ChaosTrialReport run_chaos_trial(Scenario& s, const Snapshot& warm, std::uint64_
     // The typed-error path: a load failpoint (or genuine corruption) was
     // refused. snapshot.load.truncated fires mid-commit, so the simulation
     // may be half-restored — the caller must rebuild before reusing it.
+    // A header rejection never rewinds the clock, so now() would be the end
+    // of whichever trial last ran on this scenario (a worker-count
+    // dependence); report the capture instant instead.
     report.outcome = ChaosOutcome::kCleanError;
-    report.virtual_end = s.sim->now();
+    report.virtual_end = warm.captured_at();
     finish_counts();
     return report;
   }

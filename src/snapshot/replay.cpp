@@ -55,9 +55,10 @@ void set_error(BundleError& error, const LineCursor& cursor, std::string message
   error.message = std::move(message);
 }
 
-std::string encode_fault_plan(const faults::FaultPlan& plan) {
+std::string encode_fault_plan(faults::FaultPlan plan) {
   state::StateWriter w;
-  plan.save_state(w);
+  state::Saver io(w);
+  io(plan);
   return base64_encode(w.data());
 }
 
@@ -65,7 +66,9 @@ std::optional<faults::FaultPlan> decode_fault_plan(const std::string& text) {
   const auto raw = base64_decode(text);
   if (!raw) return std::nullopt;
   state::StateReader r(*raw);
-  faults::FaultPlan plan = faults::FaultPlan::load_state(r);
+  faults::FaultPlan plan;
+  state::Loader io(r);
+  io(plan);
   if (!r.ok() || r.remaining() != 0) return std::nullopt;
   return plan;
 }

@@ -15,66 +15,80 @@ void set_why(std::string* why, std::string text) {
   if (why != nullptr) *why = std::move(text);
 }
 
-/// Reads the fixed header; returns false (reader failed or value mismatch)
-/// on anything but a version-1 BLAPSNAP. On success `strict` is filled in.
-bool read_header(state::StateReader& r, bool& strict) {
-  const auto magic = r.fixed<Snapshot::kMagic.size()>();
-  if (!r.ok() || magic != Snapshot::kMagic) {
-    r.fail("not a BLAPSNAP snapshot (bad magic)");
-    return false;
+/// The file header and the SIM section: one field list for serialize(),
+/// apply() and from_bytes(). Magic and version are checked as they are
+/// read, so a foreign or future file fails with that error before anything
+/// behind it is parsed.
+struct Prologue {
+  struct DeviceEntry {
+    std::string name;
+    core::TransportKind transport = core::TransportKind::kUart;
+  };
+  std::array<std::uint8_t, Snapshot::kMagic.size()> magic = Snapshot::kMagic;
+  std::uint32_t version = Snapshot::kVersion;
+  bool strict = false;
+  SimTime now = 0;
+  std::uint64_t next_seq = 0;
+  std::array<std::uint64_t, 4> rng{};
+  std::vector<DeviceEntry> devices;
+
+  template <class Io>
+  void visit_state(Io& io) {
+    io(magic);
+    if (magic != Snapshot::kMagic) io.fail("not a BLAPSNAP snapshot (bad magic)");
+    io(version);
+    if (version != Snapshot::kVersion) io.fail("unsupported snapshot version");
+    io(strict);
+    // Bit-rot in the stored header: the snapshot must be rejected up front
+    // with a clean typed error, never half-applied.
+    if constexpr (Io::kLoading) {
+      if (magic == Snapshot::kMagic && version == Snapshot::kVersion &&
+          BLAP_FAILPOINT("snapshot.load.header_reject"))
+        io.fail("snapshot header rejected (chaos failpoint)");
+    }
+    io.section(kSimTag, [&] {
+      io(now, next_seq, rng);
+      io.seq(devices, [&](DeviceEntry& device) { io(device.name, device.transport); });
+    });
   }
-  const std::uint32_t version = r.u32();
-  if (!r.ok() || version != Snapshot::kVersion) {
-    r.fail("unsupported snapshot version");
-    return false;
+};
+
+/// The state sections behind the prologue: the medium, then one per device.
+template <class Io>
+void visit_sections(Io& io, core::Simulation& sim) {
+  const auto roster = sim.endpoint_roster();
+  io.section(kMediumTag, [&] { sim.medium().visit_state(io, roster); });
+  // The byte stream dies mid-commit (a truncation the structural walk did
+  // not model): every later read fails soft and apply() must report — the
+  // caller abandons the half-restored simulation.
+  if constexpr (Io::kLoading) {
+    if (BLAP_FAILPOINT("snapshot.load.truncated")) io.fail("snapshot truncated mid-restore");
   }
-  strict = r.boolean();
-  // Bit-rot in the stored header: the snapshot must be rejected up front
-  // with a clean typed error, never half-applied.
-  if (BLAP_FAILPOINT("snapshot.load.header_reject")) {
-    r.fail("snapshot header rejected (chaos failpoint)");
-    return false;
-  }
-  return r.ok();
+  for (const auto& device : sim.devices())
+    io.section(kDeviceTag, [&] { device->visit_state(io); });
 }
 
 }  // namespace
 
 Snapshot Snapshot::serialize(core::Simulation& sim, bool strict, bool* ok) {
+  Prologue head;
+  head.strict = strict;
+  head.now = sim.scheduler().now();
+  head.next_seq = sim.scheduler().next_seq();
+  head.rng = sim.rng().state();
+  for (const auto& device : sim.devices())
+    head.devices.push_back({device->spec().name, device->spec().transport});
+
   state::StateWriter w;
-  *ok = true;
-  // Byte-wise on purpose: GCC 12's -Wstringop-overflow misfires on a range
-  // insert of a static constexpr array into a fresh vector.
-  for (const std::uint8_t b : kMagic) w.u8(b);
-  w.u32(kVersion);
-  w.boolean(strict);
-
-  const auto sim_token = w.begin_section(kSimTag);
-  w.u64(sim.scheduler().now());
-  w.u64(sim.scheduler().next_seq());
-  for (const std::uint64_t limb : sim.rng().state()) w.u64(limb);
-  w.u64(sim.devices().size());
-  for (const auto& device : sim.devices()) {
-    w.str(device->spec().name);
-    w.u8(static_cast<std::uint8_t>(device->spec().transport));
-  }
-  w.end_section(sim_token);
-
-  const auto roster = sim.endpoint_roster();
-  const auto medium_token = w.begin_section(kMediumTag);
-  if (!sim.medium().save_state(w, roster)) *ok = false;
-  w.end_section(medium_token);
-
-  for (const auto& device : sim.devices()) {
-    const auto device_token = w.begin_section(kDeviceTag);
-    device->save_state(w);
-    w.end_section(device_token);
-  }
+  state::Saver io(w);
+  io(head);
+  visit_sections(io, sim);
+  *ok = io.ok();
 
   Snapshot snap;
   snap.data_ = w.take();
   snap.strict_ = strict;
-  snap.now_ = sim.scheduler().now();
+  snap.now_ = head.now;
   return snap;
 }
 
@@ -106,72 +120,50 @@ Snapshot Snapshot::capture_relaxed(core::Simulation& sim) {
 
 bool Snapshot::apply(core::Simulation& sim, state::RestoreMode mode, std::string* why) const {
   state::StateReader r(data_);
-  bool strict = false;
-  if (!read_header(r, strict)) {
+  state::Loader io(r, mode);
+  Prologue head;
+  io(head);
+  if (!r.ok()) {
     set_why(why, r.error());
-    return false;
-  }
-  if (mode == state::RestoreMode::kRewind && !strict) {
-    set_why(why, "fork restore requires a strict (quiescent-point) snapshot");
     return false;
   }
 
   // --- validate everything before mutating anything -------------------------
-  r.expect_section(kSimTag);
-  const SimTime captured_now = r.u64();
-  const std::uint64_t next_seq = r.u64();
-  std::array<std::uint64_t, 4> rng_state{};
-  for (std::uint64_t& limb : rng_state) limb = r.u64();
-  const std::uint64_t device_count = r.u64();
-  if (r.ok() && device_count != sim.devices().size()) {
-    set_why(why, "topology mismatch: snapshot has " + std::to_string(device_count) +
+  if (mode == state::RestoreMode::kRewind && !head.strict) {
+    set_why(why, "fork restore requires a strict (quiescent-point) snapshot");
+    return false;
+  }
+  if (head.devices.size() != sim.devices().size()) {
+    set_why(why, "topology mismatch: snapshot has " + std::to_string(head.devices.size()) +
                      " device(s), simulation has " + std::to_string(sim.devices().size()));
     return false;
   }
-  for (std::uint64_t i = 0; r.ok() && i < device_count; ++i) {
-    const std::string name = r.str();
-    const auto kind = static_cast<core::TransportKind>(r.u8());
-    if (!r.ok()) break;
+  for (std::size_t i = 0; i < head.devices.size(); ++i) {
     const auto& spec = sim.devices()[i]->spec();
-    if (name != spec.name || kind != spec.transport) {
+    if (head.devices[i].name != spec.name || head.devices[i].transport != spec.transport) {
       set_why(why, "topology mismatch at device " + std::to_string(i) + ": snapshot has '" +
-                       name + "', simulation has '" + spec.name + "'");
+                       head.devices[i].name + "', simulation has '" + spec.name + "'");
       return false;
     }
   }
-  if (mode == state::RestoreMode::kInPlace && r.ok() && captured_now != sim.now()) {
+  if (mode == state::RestoreMode::kInPlace && head.now != sim.now()) {
     set_why(why, "in-place restore must happen at the capture instant (snapshot t=" +
-                     std::to_string(captured_now) + " us, simulation t=" +
+                     std::to_string(head.now) + " us, simulation t=" +
                      std::to_string(sim.now()) + " us)");
-    return false;
-  }
-  if (!r.ok()) {
-    set_why(why, r.error());
     return false;
   }
 
   // --- commit ---------------------------------------------------------------
-  if (mode == state::RestoreMode::kRewind) sim.scheduler().rewind(captured_now, next_seq);
-  sim.rng().set_state(rng_state);
-
-  const auto roster = sim.endpoint_roster();
-  r.expect_section(kMediumTag);
-  sim.medium().load_state(r, roster, mode);
-  // The byte stream dies mid-commit (a truncation the structural walk did
-  // not model): every later read fails soft and apply() must report — the
-  // caller abandons the half-restored simulation.
-  if (BLAP_FAILPOINT("snapshot.load.truncated")) r.fail("snapshot truncated mid-restore");
-  for (const auto& device : sim.devices()) {
-    r.expect_section(kDeviceTag);
-    device->load_state(r, mode);
-  }
+  if (mode == state::RestoreMode::kRewind) sim.scheduler().rewind(head.now, head.next_seq);
+  sim.rng().set_state(head.rng);
+  visit_sections(io, sim);
   if (mode == state::RestoreMode::kRewind && sim.observer() != nullptr)
     sim.observer()->reset();
 
   if (!r.ok()) {
-    // Structural validation in from_bytes() makes this unreachable for any
-    // snapshot that parsed; report it anyway rather than continuing on a
-    // half-restored simulation.
+    // Structural validation in from_bytes() leaves only a malformed state
+    // payload (or a load failpoint) to fail here; report it rather than
+    // continuing on a half-restored simulation.
     set_why(why, r.error());
     return false;
   }
@@ -188,26 +180,15 @@ bool Snapshot::restore_in_place(core::Simulation& sim, std::string* why) const {
 
 std::optional<Snapshot> Snapshot::from_bytes(Bytes data, std::string* why) {
   state::StateReader r(data);
-  bool strict = false;
-  if (!read_header(r, strict)) {
-    set_why(why, r.error());
-    return std::nullopt;
-  }
-
-  // Structural walk: the SIM section is parsed (it carries the clock and the
-  // device count), the medium and device sections are hopped over by their
+  state::Loader io(r);
+  Prologue head;
+  io(head);
+  // Structural walk: the prologue is parsed (it carries the clock and the
+  // device list), the medium and device sections are hopped over by their
   // recorded lengths. Any truncation, tag mismatch or trailing garbage is
   // caught here, before a restore can touch a live simulation.
-  r.expect_section(kSimTag);
-  const SimTime captured_now = r.u64();
-  r.skip(8 + 4 * 8);  // next_seq + rng state
-  const std::uint64_t device_count = r.u64();
-  for (std::uint64_t i = 0; r.ok() && i < device_count; ++i) {
-    (void)r.str();  // device name
-    (void)r.u8();   // transport kind
-  }
   r.skip(r.expect_section(kMediumTag));
-  for (std::uint64_t i = 0; r.ok() && i < device_count; ++i)
+  for (std::size_t i = 0; r.ok() && i < head.devices.size(); ++i)
     r.skip(r.expect_section(kDeviceTag));
   if (r.ok() && r.remaining() != 0) r.fail("trailing bytes after final section");
   if (!r.ok()) {
@@ -217,8 +198,8 @@ std::optional<Snapshot> Snapshot::from_bytes(Bytes data, std::string* why) {
 
   Snapshot snap;
   snap.data_ = std::move(data);
-  snap.strict_ = strict;
-  snap.now_ = captured_now;
+  snap.strict_ = head.strict;
+  snap.now_ = head.now;
   return snap;
 }
 

@@ -59,14 +59,21 @@ class HciTransport {
 
   [[nodiscard]] Scheduler& scheduler() { return scheduler_; }
 
-  /// Snapshot support: wire-protection state plus the attached-tap count.
-  /// Taps themselves are callbacks and cannot be serialized; a kRewind
-  /// restore truncates the tap list back to the captured count, dropping
-  /// exactly the observers a trial attached after the capture point.
-  /// Subclasses with extra observable state (UsbTransport's frame-observer
-  /// list) extend both methods.
-  virtual void save_state(state::StateWriter& w) const;
-  virtual void load_state(state::StateReader& r, state::RestoreMode mode);
+  /// Snapshot field list (see state_io.hpp): wire-protection state plus the
+  /// attached-tap count. Taps themselves are callbacks and cannot be
+  /// serialized; a kRewind restore truncates the tap list back to the
+  /// captured count, dropping exactly the observers a trial attached after
+  /// the capture point. UsbTransport extends the list with its
+  /// frame-observer count; Device visits the most-derived transport.
+  template <class Io>
+  void visit_state(Io& io) {
+    io(protection_key_, protection_counter_[0], protection_counter_[1]);
+    io.live_count(taps_);
+    // After a clock rewind the FIFO watermark may sit in the (new) future
+    // and would spuriously delay the first post-restore frames; the line is
+    // idle at a freshly restored instant, so clear it.
+    if (io.rewind()) line_clear_at_[0] = line_clear_at_[1] = 0;
+  }
 
  protected:
   /// Transit delay for a packet of the given wire size.
@@ -95,7 +102,7 @@ class HciTransport {
   /// previous delivery in the same direction (a serial line cannot reorder).
   /// Deliberately not serialized — it is derivable pessimism, not protocol
   /// state — so snapshot byte layout and the pinned replay corpus are
-  /// unaffected; load_state() clears it on rewind instead.
+  /// unaffected; a rewind restore clears it instead.
   SimTime line_clear_at_[2] = {0, 0};
 };
 

@@ -46,10 +46,13 @@ class UsbTransport final : public HciTransport {
   /// Endpoint assignment for a packet type and direction.
   [[nodiscard]] static std::uint8_t endpoint_for(hci::PacketType type, hci::Direction direction);
 
-  /// Snapshot support: base-transport state plus the frame-observer count
-  /// (a kRewind restore drops analyzers clipped on after the capture).
-  void save_state(state::StateWriter& w) const override;
-  void load_state(state::StateReader& r, state::RestoreMode mode) override;
+  /// Snapshot field list: base-transport state plus the frame-observer
+  /// count (a kRewind restore drops analyzers clipped on after the capture).
+  template <class Io>
+  void visit_state(Io& io) {
+    HciTransport::visit_state(io);
+    io.live_count(frame_observers_);
+  }
 
  protected:
   [[nodiscard]] SimTime transit_delay(std::size_t wire_bytes) const override {

@@ -1,6 +1,7 @@
 // s2_sinks — one statement per non-log sink kind.
 //
-//   snapshot        StateWriter method with tainted argument
+//   snapshot        StateWriter method, or a field-list visitor (`Io& io`)
+//                   call, with tainted argument
 //   serializer      `out += tainted` in a to_*-named function
 //   record-builder  make_event(<key-bearing event>, ...) in a tests/ path
 //                   (fires regardless of taint: corpus builders derive key
@@ -21,6 +22,14 @@ const char* hex(const LinkKey& key);
 void save_bond(StateWriter& w, const Bond& bond) {
   w.u32(bond.handle);
   w.fixed(bond.link_key);  // EXPECT-S2
+}
+
+// One field list serves capture and restore (state_io.hpp): visiting a key
+// field writes it on capture.
+template <class Io>
+void visit_bond(Io& io, Bond& bond) {
+  io(bond.handle);
+  io(bond.link_key);  // EXPECT-S2
 }
 
 void save_key_section(StateWriter& w, const Bond& bond) {

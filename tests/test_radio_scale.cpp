@@ -225,8 +225,11 @@ TEST_F(RadioScaleTest, IndexedPageMatchesLinearReferenceDraws) {
   EXPECT_EQ(actual_draws, expected_draws);
   ASSERT_NE(expected_winner, nullptr);
   ASSERT_EQ(expected_winner->links.size(), 1u);
-  for (FakeEndpoint* c : candidates)
-    if (c != expected_winner) EXPECT_TRUE(c->links.empty());
+  for (FakeEndpoint* c : candidates) {
+    if (c != expected_winner) {
+      EXPECT_TRUE(c->links.empty());
+    }
+  }
 }
 
 // page() and start_inquiry() re-read the live scan bits on the candidate
@@ -322,28 +325,28 @@ TEST_F(RadioScaleTest, BatchedAndUnbatchedInquiriesDeliverIdentically) {
   };
   auto run_with_threshold = [](std::size_t threshold) {
     Run run;
-    Scheduler sched;
-    RadioMedium medium(sched, Rng(11));
-    medium.set_inquiry_batch_threshold(threshold);
+    Scheduler local_sched;
+    RadioMedium local_medium(local_sched, Rng(11));
+    local_medium.set_inquiry_batch_threshold(threshold);
     FakeEndpoint requester(*BdAddr::parse("00:00:00:00:00:01"), kSecond);
-    medium.attach(&requester);
+    local_medium.attach(&requester);
     std::vector<std::unique_ptr<FakeEndpoint>> crowd;
     for (std::uint32_t i = 0; i < 40; ++i) {
       crowd.push_back(std::make_unique<FakeEndpoint>(filler_address(i), kSecond));
-      medium.attach(crowd.back().get());
+      local_medium.attach(crowd.back().get());
     }
     // A short window concentrates responses into shared instants, which is
     // the case the cursor's same-instant grouping has to get right.
-    medium.start_inquiry(&requester, 20,
+    local_medium.start_inquiry(&requester, 20,
                          [&](const InquiryResponse& r) {
-                           run.seen.emplace_back(sched.now(), r.address);
+                           run.seen.emplace_back(local_sched.now(), r.address);
                          },
-                         [&] { run.completed_at = sched.now(); });
-    sched.run_all();
-    // The medium Rng must land in the same state either way: one more page
+                         [&] { run.completed_at = local_sched.now(); });
+    local_sched.run_all();
+    // The local_medium Rng must land in the same state either way: one more page
     // consumes the next draw, observable as the sampled latency.
-    medium.page(&requester, crowd[0]->addr_, 5 * kSecond, nullptr);
-    sched.run_all();
+    local_medium.page(&requester, crowd[0]->addr_, 5 * kSecond, nullptr);
+    local_sched.run_all();
     run.follow_up_draw = crowd[0]->sampled_values.at(0);
     return run;
   };
@@ -436,17 +439,22 @@ TEST_F(RadioScaleTest, SaveLoadRoundTripsThroughTheIndex) {
 
   const std::vector<RadioEndpoint*> roster{&pager, &real, &spoof};
   state::StateWriter w;
-  ASSERT_TRUE(medium.save_state(w, roster));
+  state::Saver save(w);
+  medium.visit_state(save, roster);
+  ASSERT_TRUE(save.ok());
   const std::vector<std::uint8_t> bytes = w.take();
 
   Scheduler sched2;
   RadioMedium medium2(sched2, Rng(999));  // overwritten by the restore
   state::StateReader r(BytesView(bytes.data(), bytes.size()));
-  medium2.load_state(r, roster, state::RestoreMode::kRewind);
+  state::Loader load(r, state::RestoreMode::kRewind);
+  medium2.visit_state(load, roster);
   ASSERT_TRUE(r.ok()) << r.error();
 
   state::StateWriter w2;
-  ASSERT_TRUE(medium2.save_state(w2, roster));
+  state::Saver resave(w2);
+  medium2.visit_state(resave, roster);
+  ASSERT_TRUE(resave.ok());
   EXPECT_EQ(w2.data(), bytes);
 
   EXPECT_EQ(medium2.link_between(pager.addr_, shared), link);

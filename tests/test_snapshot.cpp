@@ -8,6 +8,7 @@
 
 #include "common/state_io.hpp"
 #include "core/page_blocking.hpp"
+#include "snapshot/chaos_trial.hpp"
 #include "snapshot/fork_campaign.hpp"
 #include "snapshot/replay.hpp"
 #include "snapshot/snapshot.hpp"
@@ -163,6 +164,45 @@ TEST(Snapshot, FromBytesRejectsCorruptInput) {
   Bytes trailing = good;
   trailing.push_back(0x00);
   EXPECT_FALSE(Snapshot::from_bytes(trailing, &why).has_value());
+}
+
+// A count field is untrusted input: a huge element count must fail the
+// restore with a typed error, not size an allocation from it.
+TEST(Snapshot, CraftedCountFailsRestoreWithoutThrowing) {
+  Scenario s = build_scenario(8, bonded_cell_params());
+  bonded_warm_setup(s);
+  std::string why;
+  const auto warm = Snapshot::capture(*s.sim, &why);
+  ASSERT_TRUE(warm.has_value()) << why;
+  Bytes crafted = warm->bytes();
+
+  // Walk to the medium's attached-endpoint count: header, SIM section, then
+  // the MEDM fields ahead of it (clock/link-id/rng words, the disabled fault
+  // plan with no jam windows, the sniffer count).
+  state::StateReader r(crafted);
+  r.skip(Snapshot::kMagic.size() + 4 + 1);
+  r.skip(r.expect_section(state::tag('S', 'I', 'M', ' ')));
+  r.expect_section(state::tag('M', 'E', 'D', 'M'));
+  r.skip(8 + 8 + 4 * 8);         // frame latency, next link id, rng
+  r.skip(8 + 8 + 1 + 4 * 8 + 8);  // fault plan
+  r.skip(8);                      // sniffer count
+  ASSERT_TRUE(r.ok());
+  const std::size_t at = crafted.size() - r.remaining();
+  ASSERT_EQ(r.u64(), s.sim->devices().size());  // the field found is the count
+  const std::uint64_t huge = std::uint64_t{1} << 44;
+  for (std::size_t i = 0; i < 8; ++i)
+    crafted[at + i] = static_cast<std::uint8_t>(huge >> (8 * i));
+
+  // Structurally the snapshot is intact (sections only), so it parses...
+  const auto parsed = Snapshot::from_bytes(crafted, &why);
+  ASSERT_TRUE(parsed.has_value()) << why;
+  // ...and the restore itself must refuse it.
+  Scenario target = build_scenario(8, bonded_cell_params());
+  why.clear();
+  bool restored = true;
+  EXPECT_NO_THROW(restored = parsed->restore(*target.sim, &why));
+  EXPECT_FALSE(restored);
+  EXPECT_FALSE(why.empty());
 }
 
 TEST(Snapshot, FileRoundTrip) {

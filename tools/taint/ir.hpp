@@ -44,8 +44,8 @@ struct Decl {
 };
 
 struct Function {
-  std::string name;       // unqualified ("save_state")
-  std::string qualified;  // "Controller::save_state" when defined out of line
+  std::string name;       // unqualified ("visit_state")
+  std::string qualified;  // "Controller::visit_state" when defined out of line
   std::string file;       // normalized path
   int line = 0;
   std::vector<std::string> return_type;  // tokens before the (qualified) name

@@ -46,11 +46,22 @@ const std::set<std::string>& obs_methods() {
   return s;
 }
 
-// state::StateWriter's write surface (src/common/state_io.hpp).
+// The snapshot write surface (src/common/state_io.hpp): StateWriter's
+// methods plus the field visitor's. Field lists call the visitor directly
+// too — `io(link.key)` — which scan_sinks treats as the same sink.
 const std::set<std::string>& writer_methods() {
-  static const std::set<std::string> s = {"u8",  "u16", "u32",   "u64", "boolean",
-                                          "f64", "bytes", "str", "fixed"};
+  static const std::set<std::string> s = {"u8",    "u16",   "u32", "u64",   "boolean",
+                                          "f64",   "bytes", "str", "fixed", "wire",
+                                          "proxy", "seq",   "map", "keyed", "optional"};
   return s;
+}
+
+// A receiver that writes snapshot bytes: the byte writer, the capture-side
+// visitor, or a field list's `Io` parameter (one list serves capture and
+// restore, so every visited field is written on capture).
+bool snapshot_writer(const Decl* d) {
+  return d != nullptr &&
+         (d->type_has("StateWriter") || d->type_has("Saver") || d->type_has("Io"));
 }
 
 const std::set<std::string>& device_types() {
@@ -410,16 +421,16 @@ void scan_sinks(const Program& prog, const FnState& env, SinkScan& scan) {
         continue;
       }
 
-      if (dotted && writer_methods().count(name) != 0) {
-        const std::string base = receiver_base(t, i - 1);
+      const bool visitor_call = !dotted && snapshot_writer(decl_of(*env.fn, name));
+      if (visitor_call || (dotted && writer_methods().count(name) != 0)) {
+        const std::string base = visitor_call ? name : receiver_base(t, i - 1);
         const Decl* d = base.empty() ? nullptr : decl_of(*env.fn, base);
-        const std::string atom = (d != nullptr && d->type_has("StateWriter"))
-                                     ? tainted_atom(prog, env, i + 2, close)
-                                     : std::string();
+        const std::string atom =
+            snapshot_writer(d) ? tainted_atom(prog, env, i + 2, close) : std::string();
         if (!atom.empty())
           emit("snapshot", i, close,
-               "secret-tainted value '" + atom + "' serialized via StateWriter::" +
-                   name + " outside the declassified key section");
+               "secret-tainted value '" + atom + "' serialized via " + base +
+                   (visitor_call ? "" : "." + name) + " outside the declassified key section");
         continue;
       }
 
