@@ -9,6 +9,7 @@
 #include "crypto/e0.hpp"
 #include "crypto/e1.hpp"
 #include "crypto/ecdh.hpp"
+#include "crypto/field.hpp"
 #include "crypto/sha256.hpp"
 #include "crypto/ssp_functions.hpp"
 #include "hci/snoop.hpp"
@@ -68,6 +69,21 @@ void BM_E3_EncryptionKey(benchmark::State& state) {
   for (auto _ : state) benchmark::DoNotOptimize(e3(key, rand, cof));
 }
 BENCHMARK(BM_E3_EncryptionKey);
+
+// One dependent chain of field multiplies (the ECDH inner operation).
+template <class Prime>
+void BM_FieldMul(benchmark::State& state) {
+  using F = field::Fe<Prime>;
+  Rng rng(7);
+  F a = F::from(U256({rng.next_u64(), rng.next_u64(), rng.next_u64(), rng.next_u64()}));
+  const F b = F::from(U256({rng.next_u64(), rng.next_u64(), rng.next_u64(), rng.next_u64()}));
+  for (auto _ : state) {
+    a = a * b;
+    benchmark::DoNotOptimize(a);
+  }
+}
+BENCHMARK(BM_FieldMul<field::P256>);
+BENCHMARK(BM_FieldMul<field::P192>);
 
 void BM_P256_Keygen(benchmark::State& state) {
   Rng rng(7);

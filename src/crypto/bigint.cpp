@@ -235,46 +235,4 @@ U256 mod_binary_reference(const U512& value, const U256& modulus) {
   return rem;
 }
 
-U256 add_mod(const U256& a, const U256& b, const U256& m) {
-  U256 sum;
-  const std::uint64_t carry = U256::add(a, b, sum);
-  if (carry || sum >= m) {
-    U256 out;
-    U256::sub(sum, m, out);
-    return out;
-  }
-  return sum;
-}
-
-U256 sub_mod(const U256& a, const U256& b, const U256& m) {
-  U256 diff;
-  const std::uint64_t borrow = U256::sub(a, b, diff);
-  if (borrow) {
-    U256 out;
-    U256::add(diff, m, out);
-    return out;
-  }
-  return diff;
-}
-
-U256 mul_mod(const U256& a, const U256& b, const U256& m) { return mod(U512::mul(a, b), m); }
-
-U256 pow_mod(const U256& a, const U256& e, const U256& m) {
-  U256 result(1);
-  U256 base = mod(U512::widen(a), m);
-  const std::size_t bits = e.bit_length();
-  for (std::size_t i = 0; i < bits; ++i) {
-    if (e.bit(i)) result = mul_mod(result, base, m);
-    base = mul_mod(base, base, m);
-  }
-  return result;
-}
-
-U256 inv_mod_prime(const U256& a, const U256& p) {
-  U256 exponent;
-  U256 two(2);
-  U256::sub(p, two, exponent);
-  return pow_mod(a, exponent, p);
-}
-
 }  // namespace blap::crypto

@@ -1,12 +1,14 @@
-// bigint.hpp — fixed-width 256-bit unsigned integers and modular arithmetic.
+// bigint.hpp — fixed-width 256-bit unsigned integers and generic reduction.
 //
-// The ECDH key exchange at the heart of Secure Simple Pairing needs field
-// arithmetic over the NIST P-192 / P-256 primes. BLAP implements it from
-// scratch on a little-endian 4x64-bit limb representation. Multiplication
-// produces a 512-bit intermediate reduced by binary long division — not the
-// fastest possible approach, but simple to verify and more than fast enough
-// for a protocol simulator (an entire ECDH agreement completes in well under
-// a millisecond of host time).
+// U256 is the value type of the ECDH layer: private scalars, affine
+// coordinates, curve constants, snapshot bytes. It is a little-endian
+// 4x64-bit limb integer with no modulus attached. The field arithmetic over
+// the NIST P-192 / P-256 primes lives in field.hpp (Montgomery form, one
+// reduction path specialised per prime); this header keeps only what works
+// for an arbitrary modulus: the 256x256 -> 512-bit product, the word-level
+// remainder generate_keypair uses to reduce a random 256-bit draw modulo
+// the curve order, and the bit-serial remainder every fast path is tested
+// against.
 #pragma once
 
 #include <array>
@@ -86,19 +88,8 @@ class U512 {
 [[nodiscard]] U256 mod(const U512& value, const U256& modulus);
 
 /// Reference implementation of mod via binary long division — slow but
-/// obviously correct; kept for differential property testing of the
-/// Algorithm D path.
+/// obviously correct; the single oracle the differential tests of mod and
+/// of the field layer compare against.
 [[nodiscard]] U256 mod_binary_reference(const U512& value, const U256& modulus);
-
-/// (a + b) mod m. Inputs must already be < m.
-[[nodiscard]] U256 add_mod(const U256& a, const U256& b, const U256& m);
-/// (a - b) mod m. Inputs must already be < m.
-[[nodiscard]] U256 sub_mod(const U256& a, const U256& b, const U256& m);
-/// (a * b) mod m.
-[[nodiscard]] U256 mul_mod(const U256& a, const U256& b, const U256& m);
-/// a^e mod m (square-and-multiply).
-[[nodiscard]] U256 pow_mod(const U256& a, const U256& e, const U256& m);
-/// a^-1 mod p for prime p (Fermat's little theorem). a must be nonzero mod p.
-[[nodiscard]] U256 inv_mod_prime(const U256& a, const U256& p);
 
 }  // namespace blap::crypto
