@@ -43,6 +43,8 @@ class SaferPlus {
   [[nodiscard]] static const std::array<std::uint8_t, 256>& exp_table();
   /// Access the log table (inverse of exp); exposed for tests.
   [[nodiscard]] static const std::array<std::uint8_t, 256>& log_table();
+  /// Round key `index` (0..16; key 0 is the raw key); exposed for tests.
+  [[nodiscard]] const Block& subkey(std::size_t index) const { return subkeys_.at(index); }
 
  private:
   [[nodiscard]] Block run(const Block& input, bool prime) const;

@@ -31,6 +31,30 @@ TEST(SaferPlusTables, ExpIsPermutationWithKnownFixedPoints) {
   for (bool s : seen) EXPECT_TRUE(s);
 }
 
+// base^e mod 257 by square-and-multiply, independent of the exp table.
+unsigned pow_mod_257(unsigned base, unsigned e) {
+  unsigned result = 1;
+  for (base %= 257; e != 0; e >>= 1, base = base * base % 257) {
+    if (e & 1U) result = result * base % 257;
+  }
+  return result;
+}
+
+// With an all-zero key every register byte stays zero through the 3-bit
+// rotations, so subkey p (1-based, p >= 2) is exactly the bias vector
+// B_p[j] = (45^(45^(17p + j + 1) mod 257) mod 257) mod 256 of Vol 2 Part H.
+TEST(SaferPlusKeySchedule, ZeroKeySubkeysAreTheSpecBiases) {
+  const SaferPlus cipher(key_of(0x00));
+  EXPECT_EQ(cipher.subkey(0), SaferPlus::Block{});
+  for (unsigned p = 2; p <= 17; ++p) {
+    SaferPlus::Block bias{};
+    for (unsigned j = 0; j < SaferPlus::kBlockSize; ++j) {
+      bias[j] = static_cast<std::uint8_t>(pow_mod_257(45, pow_mod_257(45, 17 * p + j + 1)) % 256);
+    }
+    EXPECT_EQ(cipher.subkey(p - 1), bias) << "subkey " << p;
+  }
+}
+
 TEST(SaferPlus, Deterministic) {
   const SaferPlus cipher(key_of(0x5A));
   SaferPlus::Block input{};
