@@ -66,6 +66,7 @@ Simulation::Simulation(std::uint64_t seed)
 Device& Simulation::add_device(DeviceSpec spec) {
   devices_.push_back(std::make_unique<Device>(scheduler_, medium_, std::move(spec),
                                               rng_.fork(), obs_.get()));
+  roster_.push_back(&devices_.back()->controller());
   // Let power-on traffic (Reset, Read_BD_ADDR, ...) drain.
   scheduler_.run_for(10 * kMillisecond);
   return *devices_.back();
@@ -90,13 +91,6 @@ void Simulation::reseed(std::uint64_t seed) {
     Rng device_rng = rng_.fork();
     device->controller().set_rng(device_rng.fork());
   }
-}
-
-std::vector<radio::RadioEndpoint*> Simulation::endpoint_roster() {
-  std::vector<radio::RadioEndpoint*> roster;
-  roster.reserve(devices_.size());
-  for (const auto& device : devices_) roster.push_back(&device->controller());
-  return roster;
 }
 
 obs::Observer& Simulation::enable_observability(obs::ObsConfig config) {

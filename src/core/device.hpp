@@ -7,6 +7,7 @@
 #pragma once
 
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -126,7 +127,9 @@ class Simulation {
 
   /// The canonical endpoint roster — every device's controller in device
   /// order. Snapshots identify endpoints by index into this list.
-  [[nodiscard]] std::vector<radio::RadioEndpoint*> endpoint_roster();
+  [[nodiscard]] std::span<radio::RadioEndpoint* const> endpoint_roster() const {
+    return roster_;
+  }
 
  private:
   Scheduler scheduler_;
@@ -134,6 +137,7 @@ class Simulation {
   radio::RadioMedium medium_;
   std::unique_ptr<obs::Observer> obs_;
   std::vector<std::unique_ptr<Device>> devices_;
+  std::vector<radio::RadioEndpoint*> roster_;  // &devices_[i]->controller()
 };
 
 }  // namespace blap::core

@@ -118,95 +118,6 @@ std::size_t U512::bit_length() const {
   return 0;
 }
 
-U256 mod(const U512& value, const U256& modulus) {
-  // Knuth TAOCP Vol. 2, Algorithm D, specialized to return the remainder.
-  // Limbs are 64-bit; the dividend has at most 8 limbs, the divisor at most
-  // 4. The single-limb divisor case short-circuits to a 128/64 division.
-  const auto& vw = modulus.limbs();
-  std::size_t k = U256::kLimbs;
-  while (k > 0 && vw[k - 1] == 0) --k;
-  if (k == 0) return U256();  // undefined; caller guarantees nonzero
-
-  const auto& uw_in = value.limbs();
-  std::size_t m = U512::kLimbs;
-  while (m > 0 && uw_in[m - 1] == 0) --m;
-  if (m == 0) return U256();
-
-  if (k == 1) {
-    const std::uint64_t d = vw[0];
-    std::uint64_t rem = 0;
-    for (std::size_t i = m; i-- > 0;) {
-      const u128 cur = (static_cast<u128>(rem) << 64) | uw_in[i];
-      rem = static_cast<std::uint64_t>(cur % d);
-    }
-    return U256(rem);
-  }
-
-  // Normalize so the divisor's top bit is set.
-  const int shift = __builtin_clzll(vw[k - 1]);
-  std::uint64_t v[U256::kLimbs] = {0, 0, 0, 0};
-  for (std::size_t i = 0; i < k; ++i) {
-    v[i] = vw[i] << shift;
-    if (shift != 0 && i > 0) v[i] |= vw[i - 1] >> (64 - shift);
-  }
-  std::uint64_t u[U512::kLimbs + 1] = {};
-  for (std::size_t i = 0; i < m; ++i) {
-    u[i] |= uw_in[i] << shift;
-    if (shift != 0 && i + 1 <= U512::kLimbs) u[i + 1] = uw_in[i] >> (64 - shift);
-  }
-  std::size_t un = m + 1;  // normalized dividend length (top limb may be 0)
-
-  if (un <= k) un = k + 1;  // defensive; guarantees at least one quotient digit
-
-  for (std::size_t j = un - k; j-- > 0;) {
-    // Estimate q̂ from the top two dividend limbs and the top divisor limb.
-    const u128 top = (static_cast<u128>(u[j + k]) << 64) | u[j + k - 1];
-    u128 qhat = top / v[k - 1];
-    u128 rhat = top % v[k - 1];
-    while (qhat > 0xFFFFFFFFFFFFFFFFULL ||
-           (k >= 2 && qhat * v[k - 2] > ((rhat << 64) | u[j + k - 2]))) {
-      --qhat;
-      rhat += v[k - 1];
-      if (rhat > 0xFFFFFFFFFFFFFFFFULL) break;
-    }
-
-    // u[j .. j+k] -= qhat * v.
-    u128 borrow = 0;
-    u128 carry = 0;
-    for (std::size_t i = 0; i < k; ++i) {
-      const u128 product = qhat * v[i] + carry;
-      carry = product >> 64;
-      const u128 sub = static_cast<u128>(u[j + i]) - static_cast<std::uint64_t>(product) - borrow;
-      u[j + i] = static_cast<std::uint64_t>(sub);
-      borrow = (sub >> 64) ? 1 : 0;
-    }
-    const u128 sub = static_cast<u128>(u[j + k]) - carry - borrow;
-    u[j + k] = static_cast<std::uint64_t>(sub);
-    if (sub >> 64) {
-      // q̂ was one too large: add the divisor back.
-      u128 add_carry = 0;
-      for (std::size_t i = 0; i < k; ++i) {
-        const u128 sum = static_cast<u128>(u[j + i]) + v[i] + add_carry;
-        u[j + i] = static_cast<std::uint64_t>(sum);
-        add_carry = sum >> 64;
-      }
-      u[j + k] = static_cast<std::uint64_t>(u[j + k] + add_carry);
-    }
-  }
-
-  // Denormalize the remainder (low k limbs of u).
-  std::array<std::uint64_t, U256::kLimbs> rem{};
-  for (std::size_t i = 0; i < k; ++i) {
-    rem[i] = u[i] >> shift;
-    if (shift != 0 && i + 1 < U512::kLimbs + 1) {
-      rem[i] |= u[i + 1] << (64 - shift);
-    }
-  }
-  // Mask out any divisor bits above k limbs leaked by the final OR.
-  for (std::size_t i = k; i < U256::kLimbs; ++i) rem[i] = 0;
-  return U256(rem);
-}
-
 U256 mod_binary_reference(const U512& value, const U256& modulus) {
   // Binary long division: scan bits from most significant, shifting the
   // remainder left and subtracting the modulus whenever it fits.

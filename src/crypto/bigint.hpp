@@ -4,11 +4,10 @@
 // coordinates, curve constants, snapshot bytes. It is a little-endian
 // 4x64-bit limb integer with no modulus attached. The field arithmetic over
 // the NIST P-192 / P-256 primes lives in field.hpp (Montgomery form, one
-// reduction path specialised per prime); this header keeps only what works
-// for an arbitrary modulus: the 256x256 -> 512-bit product, the word-level
-// remainder generate_keypair uses to reduce a random 256-bit draw modulo
-// the curve order, and the bit-serial remainder every fast path is tested
-// against.
+// reduction path specialised per prime), and the reduction of a keygen
+// draw modulo the curve order in EcCurve::reduce_mod_order(); this header
+// keeps only what works for an arbitrary modulus: the 256x256 -> 512-bit
+// product and the bit-serial remainder every fast path is tested against.
 #pragma once
 
 #include <array>
@@ -80,16 +79,12 @@ class U512 {
   [[nodiscard]] const std::array<std::uint64_t, kLimbs>& limbs() const { return w_; }
 
  private:
-  friend U256 mod(const U512& value, const U256& modulus);
   std::array<std::uint64_t, kLimbs> w_{};
 };
 
-/// value mod modulus (word-level Knuth Algorithm D). modulus must be nonzero.
-[[nodiscard]] U256 mod(const U512& value, const U256& modulus);
-
-/// Reference implementation of mod via binary long division — slow but
-/// obviously correct; the single oracle the differential tests of mod and
-/// of the field layer compare against.
+/// value mod modulus by binary long division — slow but obviously correct;
+/// the single oracle the differential tests of the field layer and of the
+/// curve-order reduction compare against.
 [[nodiscard]] U256 mod_binary_reference(const U512& value, const U256& modulus);
 
 }  // namespace blap::crypto

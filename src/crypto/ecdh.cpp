@@ -282,11 +282,29 @@ EcPoint EcCurve::multiply(const U256& k, const EcPoint& point) const {
   });
 }
 
+U256 EcCurve::reduce_mod_order(const U256& draw) const {
+  U256 v = draw;
+  if (field_ == Field::kP192) {
+    // n = 2^192 - c with c < 2^95. Fold the top limb h: draw = h * 2^192 +
+    // low = low + h * c (mod n), and h * c < 2^159, so v < 2^192 + 2^159.
+    U256 c;
+    U256::sub(U256({0, 0, 0, 1}), n_, c);
+    const U512 folded = U512::mul(U256(draw.limbs()[3]), c);
+    const auto& f = folded.limbs();
+    const auto& w = draw.limbs();
+    U256::add(U256({w[0], w[1], w[2], 0}), U256({f[0], f[1], f[2], f[3]}), v);
+  }
+  // Now v < 2n (for P-256 because 2^256 - n < 2^224 < n): one conditional
+  // subtraction finishes the reduction.
+  U256 reduced;
+  return U256::sub(v, n_, reduced) == 0 ? reduced : v;
+}
+
 EcKeyPair generate_keypair(const EcCurve& curve, Rng& rng) {
   for (;;) {
     const auto raw = rng.bytes<32>();
     auto candidate = U256::from_bytes_be(BytesView(raw.data(), raw.size()));
-    const U256 scalar = mod(U512::widen(*candidate), curve.order());
+    const U256 scalar = curve.reduce_mod_order(*candidate);
     if (scalar.is_zero()) continue;
     return EcKeyPair{scalar, curve.multiply(scalar, curve.generator())};
   }

@@ -63,6 +63,9 @@ class EcCurve {
   /// generator, width-5 NAF otherwise).
   [[nodiscard]] EcPoint multiply(const U256& k, const EcPoint& point) const;
 
+  /// `draw` mod the curve order, for any 256-bit draw (the keygen scalar).
+  [[nodiscard]] U256 reduce_mod_order(const U256& draw) const;
+
  private:
   enum class Field : std::uint8_t { kP192, kP256 };
 

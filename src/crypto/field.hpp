@@ -106,10 +106,12 @@ class Fe {
   friend Fe operator*(const Fe& a, const Fe& b) { return Fe(mont_mul(a.w_, b.w_)); }
   [[nodiscard]] Fe sq() const { return *this * *this; }
 
-  /// this^e, left-to-right square-and-multiply.
+  /// this^e, left-to-right square-and-multiply from e's top set bit.
   [[nodiscard]] Fe pow(const Limbs& e) const {
+    std::size_t i = 256;
+    while (i > 0 && ((e[(i - 1) / 64] >> ((i - 1) % 64)) & 1) == 0) --i;
     Fe r = one();
-    for (std::size_t i = 256; i-- > 0;) {
+    while (i-- > 0) {
       r = r.sq();
       if ((e[i / 64] >> (i % 64)) & 1) r = r * *this;
     }

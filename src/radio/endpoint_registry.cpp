@@ -64,8 +64,13 @@ void EndpointRegistry::detach(RadioEndpoint* endpoint) {
 void EndpointRegistry::refresh(RadioEndpoint* endpoint) {
   const auto it = slot_of_.find(endpoint);
   if (it == slot_of_.end()) return;
-  unindex_slot(it->second);
-  index_slot(it->second);
+  const std::uint32_t slot = it->second;
+  if (addresses_[slot] == endpoint->radio_address() &&
+      inquiry_scan_[slot] == (endpoint->inquiry_scan_enabled() ? 1 : 0) &&
+      page_scan_[slot] == (endpoint->page_scan_enabled() ? 1 : 0))
+    return;  // nothing indexed has changed
+  unindex_slot(slot);
+  index_slot(slot);
 }
 
 EndpointHandle EndpointRegistry::handle_of(const RadioEndpoint* endpoint) const {
@@ -80,7 +85,23 @@ BdAddr EndpointRegistry::address_of(const RadioEndpoint* endpoint) const {
   return addresses_[it->second];
 }
 
-void EndpointRegistry::load(const std::vector<RadioEndpoint*>& in_order) {
+bool EndpointRegistry::attached_in_order(std::span<RadioEndpoint* const> in_order) const {
+  if (in_order.size() != by_attach_order_.size()) return false;
+  auto it = by_attach_order_.begin();
+  for (RadioEndpoint* endpoint : in_order)
+    if (endpoints_[(it++)->second] != endpoint) return false;
+  return true;
+}
+
+void EndpointRegistry::load(std::span<RadioEndpoint* const> in_order) {
+  // Attach seqs only decide order: when the restored order is the live one
+  // (a fork rewinding a trial that attached and detached nothing), the
+  // indexes already hold what the rebuild below would produce, up to any
+  // address or scan bit that changed unnotified, which refresh() re-reads.
+  if (attached_in_order(in_order)) {
+    for (RadioEndpoint* endpoint : in_order) refresh(endpoint);
+    return;
+  }
   // Retire every attachment that is not in the restored set. Endpoints that
   // stay keep slot and generation: an in-place restore happens at the
   // capture instant with frames possibly still in flight, and the handles

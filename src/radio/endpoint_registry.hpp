@@ -50,6 +50,7 @@
 
 #include <cstdint>
 #include <map>
+#include <span>
 #include <utility>
 #include <vector>
 
@@ -81,7 +82,8 @@ class EndpointRegistry {
   void detach(RadioEndpoint* endpoint);
 
   /// Re-read `endpoint`'s address and scan bits and update the indexes.
-  /// No-op if not attached. Attach seq (and so iteration position) is kept.
+  /// No-op if not attached, or if none of the three changed. Attach seq
+  /// (and so iteration position) is kept.
   void refresh(RadioEndpoint* endpoint);
 
   /// Rebuild the attachment set from `in_order` (snapshot restore).
@@ -89,7 +91,9 @@ class EndpointRegistry {
   /// in-place restore must not invalidate handles captured by events that
   /// are still queued — but every endpoint is re-sequenced to its position
   /// in `in_order`, so iteration order afterwards matches the snapshot.
-  void load(const std::vector<RadioEndpoint*>& in_order);
+  /// When `in_order` already is the live attachment order the indexes are
+  /// kept as they are: attach seqs only decide order.
+  void load(std::span<RadioEndpoint* const> in_order);
 
   [[nodiscard]] bool contains(const RadioEndpoint* endpoint) const {
     return slot_of_.find(endpoint) != slot_of_.end();
@@ -136,6 +140,8 @@ class EndpointRegistry {
   }
 
  private:
+  /// True when `in_order` lists exactly the attachment set, in attach order.
+  [[nodiscard]] bool attached_in_order(std::span<RadioEndpoint* const> in_order) const;
   std::uint32_t acquire_slot(RadioEndpoint* endpoint);
   void index_slot(std::uint32_t slot);
   void unindex_slot(std::uint32_t slot);

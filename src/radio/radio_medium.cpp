@@ -461,9 +461,11 @@ void RadioMedium::visit_state(Io& io, std::span<RadioEndpoint* const> roster) {
 
   // Attachment set, in attach order (the paging race draws candidate
   // latencies in attach order, so the order is behaviourally significant).
-  std::vector<RadioEndpoint*> in_order;
-  if constexpr (!Io::kLoading)
+  std::vector<RadioEndpoint*>& in_order = attach_order_;
+  if constexpr (!Io::kLoading) {
+    in_order.clear();
     registry_.for_each_attached([&](RadioEndpoint* ep) { in_order.push_back(ep); });
+  }
   io.seq(in_order, endpoint);
   if constexpr (Io::kLoading) {
     if (!io.ok()) return;

@@ -288,6 +288,9 @@ class RadioMedium {
   // appended in creation order) — detach() finds its doomed links here
   // without walking links_.
   std::vector<std::vector<LinkId>> links_of_slot_;
+  // The attachment order visit_state() writes or reads; a member so that
+  // each restore reuses its capacity.
+  std::vector<RadioEndpoint*> attach_order_;
   // (lo addr, hi addr, id): link_between() answers in O(log L), and the id
   // in the key makes "lowest link id wins" fall out of map order when a
   // spoofing scenario creates several links over one address pair.

@@ -1,6 +1,7 @@
 #include "snapshot/snapshot.hpp"
 
 #include <cstdio>
+#include <string_view>
 
 #include "chaos/failpoint.hpp"
 
@@ -20,17 +21,21 @@ void set_why(std::string* why, std::string text) {
 /// read, so a foreign or future file fails with that error before anything
 /// behind it is parsed.
 struct Prologue {
-  struct DeviceEntry {
-    std::string name;
-    core::TransportKind transport = core::TransportKind::kUart;
-  };
   std::array<std::uint8_t, Snapshot::kMagic.size()> magic = Snapshot::kMagic;
   std::uint32_t version = Snapshot::kVersion;
   bool strict = false;
   SimTime now = 0;
   std::uint64_t next_seq = 0;
   std::array<std::uint64_t, 4> rng{};
-  std::vector<DeviceEntry> devices;
+  std::uint64_t device_count = 0;
+  /// Capture writes these devices' names and transports. Restore checks
+  /// the stored ones against them as it reads, without copying a name;
+  /// from_bytes() leaves this null and only walks the entries.
+  const std::vector<std::unique_ptr<core::Device>>* devices = nullptr;
+  /// Restore: the first stored device that differs from `devices`, or
+  /// empty. Only checked when the device counts agree (apply() reports a
+  /// count mismatch first).
+  std::string mismatch;
 
   template <class Io>
   void visit_state(Io& io) {
@@ -48,8 +53,33 @@ struct Prologue {
     }
     io.section(kSimTag, [&] {
       io(now, next_seq, rng);
-      io.seq(devices, [&](DeviceEntry& device) { io(device.name, device.transport); });
+      if constexpr (Io::kLoading) {
+        device_count = io.count();
+        for (std::uint64_t i = 0; i < device_count && io.ok(); ++i) {
+          const BytesView name = io.view();
+          core::TransportKind transport{};
+          io(transport);
+          check(i, name, transport);
+        }
+      } else {
+        device_count = devices->size();
+        io(device_count);
+        for (const auto& device : *devices) {
+          std::string name = device->spec().name;
+          core::TransportKind transport = device->spec().transport;
+          io(name, transport);
+        }
+      }
     });
+  }
+
+  void check(std::uint64_t i, BytesView name, core::TransportKind transport) {
+    if (devices == nullptr || device_count != devices->size() || !mismatch.empty()) return;
+    const auto& spec = (*devices)[static_cast<std::size_t>(i)]->spec();
+    const std::string_view stored(reinterpret_cast<const char*>(name.data()), name.size());
+    if (stored == spec.name && transport == spec.transport) return;
+    mismatch = "topology mismatch at device " + std::to_string(i) + ": snapshot has '" +
+               std::string(stored) + "', simulation has '" + spec.name + "'";
   }
 };
 
@@ -76,8 +106,7 @@ Snapshot Snapshot::serialize(core::Simulation& sim, bool strict, bool* ok) {
   head.now = sim.scheduler().now();
   head.next_seq = sim.scheduler().next_seq();
   head.rng = sim.rng().state();
-  for (const auto& device : sim.devices())
-    head.devices.push_back({device->spec().name, device->spec().transport});
+  head.devices = &sim.devices();
 
   state::StateWriter w;
   state::Saver io(w);
@@ -122,6 +151,7 @@ bool Snapshot::apply(core::Simulation& sim, state::RestoreMode mode, std::string
   state::StateReader r(data_);
   state::Loader io(r, mode);
   Prologue head;
+  head.devices = &sim.devices();
   io(head);
   if (!r.ok()) {
     set_why(why, r.error());
@@ -133,18 +163,14 @@ bool Snapshot::apply(core::Simulation& sim, state::RestoreMode mode, std::string
     set_why(why, "fork restore requires a strict (quiescent-point) snapshot");
     return false;
   }
-  if (head.devices.size() != sim.devices().size()) {
-    set_why(why, "topology mismatch: snapshot has " + std::to_string(head.devices.size()) +
+  if (head.device_count != sim.devices().size()) {
+    set_why(why, "topology mismatch: snapshot has " + std::to_string(head.device_count) +
                      " device(s), simulation has " + std::to_string(sim.devices().size()));
     return false;
   }
-  for (std::size_t i = 0; i < head.devices.size(); ++i) {
-    const auto& spec = sim.devices()[i]->spec();
-    if (head.devices[i].name != spec.name || head.devices[i].transport != spec.transport) {
-      set_why(why, "topology mismatch at device " + std::to_string(i) + ": snapshot has '" +
-                       head.devices[i].name + "', simulation has '" + spec.name + "'");
-      return false;
-    }
+  if (!head.mismatch.empty()) {
+    set_why(why, head.mismatch);
+    return false;
   }
   if (mode == state::RestoreMode::kInPlace && head.now != sim.now()) {
     set_why(why, "in-place restore must happen at the capture instant (snapshot t=" +
@@ -188,7 +214,7 @@ std::optional<Snapshot> Snapshot::from_bytes(Bytes data, std::string* why) {
   // recorded lengths. Any truncation, tag mismatch or trailing garbage is
   // caught here, before a restore can touch a live simulation.
   r.skip(r.expect_section(kMediumTag));
-  for (std::size_t i = 0; r.ok() && i < head.devices.size(); ++i)
+  for (std::uint64_t i = 0; r.ok() && i < head.device_count; ++i)
     r.skip(r.expect_section(kDeviceTag));
   if (r.ok() && r.remaining() != 0) r.fail("trailing bytes after final section");
   if (!r.ok()) {

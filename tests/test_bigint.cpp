@@ -6,6 +6,7 @@
 
 #include "common/rng.hpp"
 #include "crypto/bigint.hpp"
+#include "crypto/ecdh.hpp"
 #include "crypto/field.hpp"
 
 namespace blap::crypto {
@@ -76,7 +77,8 @@ TEST(U256, BitAccessAndLength) {
 
 TEST(U512, MulSmallValues) {
   const U512 prod = U512::mul(U256(0xFFFFFFFFULL), U256(0xFFFFFFFFULL));
-  EXPECT_EQ(mod(prod, *U256::from_hex("10000000000000000")), U256(0xFFFFFFFE00000001ULL));
+  EXPECT_EQ(mod_binary_reference(prod, *U256::from_hex("10000000000000000")),
+            U256(0xFFFFFFFE00000001ULL));
 }
 
 TEST(Mod, ReducesWideProduct) {
@@ -87,7 +89,7 @@ TEST(Mod, ReducesWideProduct) {
   // Verify against __int128 arithmetic.
   const u128 wide = static_cast<u128>(0x1234567890ABCDEFULL) * 0x0FEDCBA987654321ULL;
   const std::uint64_t expect = static_cast<std::uint64_t>(wide % 0x1FFFFFFFFFFFFFFFULL);
-  EXPECT_EQ(mod(U512::mul(a, b), p), U256(expect));
+  EXPECT_EQ(mod_binary_reference(U512::mul(a, b), p), U256(expect));
 }
 
 TEST(ModularOps, AddSubInverse) {
@@ -156,27 +158,25 @@ INSTANTIATE_TEST_SUITE_P(ManyOperands, MulModProperty,
 }  // namespace
 }  // namespace blap::crypto
 
-// NOTE: appended differential tests for the Algorithm D reduction.
+// Differential tests of the keygen draw reduction modulo each curve order
+// (EcCurve::reduce_mod_order) against the bit-serial reference. The suite
+// names date from the word-level long division it replaced.
 namespace blap::crypto {
 namespace {
+
+const EcCurve* const kCurves[] = {&EcCurve::p256(), &EcCurve::p192()};
 
 class ModDifferential : public ::testing::TestWithParam<std::uint64_t> {};
 
 TEST_P(ModDifferential, KnuthMatchesBinaryReference) {
-  // Pseudo-random 512-bit dividends and moduli of every limb-width.
   blap::Rng rng(GetParam() * 1315423911ULL + 3);
-  for (int width = 1; width <= 4; ++width) {
-    std::array<std::uint64_t, 4> mw{};
-    for (int i = 0; i < width; ++i) mw[static_cast<std::size_t>(i)] = rng.next_u64();
-    if (mw[static_cast<std::size_t>(width - 1)] == 0) mw[static_cast<std::size_t>(width - 1)] = 1;
-    const U256 modulus(mw);
-
-    std::array<std::uint64_t, 4> aw{}, bw{};
-    for (auto& w : aw) w = rng.next_u64();
-    for (auto& w : bw) w = rng.next_u64();
-    const U512 value = U512::mul(U256(aw), U256(bw));
-    EXPECT_EQ(mod(value, modulus), mod_binary_reference(value, modulus))
-        << "width=" << width << " modulus=" << modulus.to_hex();
+  for (const EcCurve* curve : kCurves) {
+    for (int i = 0; i < 8; ++i) {
+      const U256 draw({rng.next_u64(), rng.next_u64(), rng.next_u64(), rng.next_u64()});
+      EXPECT_EQ(curve->reduce_mod_order(draw),
+                mod_binary_reference(U512::widen(draw), curve->order()))
+          << curve->name() << " draw=" << draw.to_hex();
+    }
   }
 }
 
@@ -184,20 +184,34 @@ INSTANTIATE_TEST_SUITE_P(RandomOperands, ModDifferential,
                          ::testing::Range<std::uint64_t>(0, 50));
 
 TEST(ModDifferential, EdgeCases) {
-  const U256 p256 = *U256::from_hex(
-      "ffffffff00000001000000000000000000000000ffffffffffffffffffffffff");
-  // Dividend == modulus, modulus-1, modulus+1, 0, and max.
-  EXPECT_TRUE(mod(U512::widen(p256), p256).is_zero());
-  U256 pm1;
-  U256::sub(p256, U256(1), pm1);
-  EXPECT_EQ(mod(U512::widen(pm1), p256), pm1);
-  EXPECT_TRUE(mod(U512(), p256).is_zero());
-  const U512 max_sq = U512::mul(pm1, pm1);
-  EXPECT_EQ(mod(max_sq, p256), mod_binary_reference(max_sq, p256));
-  // Power-of-two modulus exercises the normalize shift == 0 path.
-  const U256 pow2 = *U256::from_hex("8000000000000000000000000000000000000000000000000000000000000000");
-  const U512 big = U512::mul(pm1, p256);
-  EXPECT_EQ(mod(big, pow2), mod_binary_reference(big, pow2));
+  const U256 ones({~0ULL, ~0ULL, ~0ULL, ~0ULL});
+  for (const EcCurve* curve : kCurves) {
+    const U256& n = curve->order();
+    U256 n_minus_1, n_plus_1, two_n;
+    U256::sub(n, U256(1), n_minus_1);
+    U256::add(n, U256(1), n_plus_1);
+    const bool two_n_fits = U256::add(n, n, two_n) == 0;
+    std::vector<U256> draws = {U256(),
+                               U256(1),
+                               n_minus_1,
+                               n,
+                               n_plus_1,
+                               ones,
+                               U256({~0ULL, ~0ULL, ~0ULL, 0}),  // 2^192 - 1
+                               U256({0, 0, 0, 1}),              // 2^192
+                               U256({~0ULL, ~0ULL, ~0ULL, 1}),
+                               U256({0, 0, 0, ~0ULL})};
+    if (two_n_fits) {
+      U256 two_n_minus_1;
+      U256::sub(two_n, U256(1), two_n_minus_1);
+      draws.push_back(two_n);
+      draws.push_back(two_n_minus_1);
+    }
+    for (const U256& draw : draws)
+      EXPECT_EQ(curve->reduce_mod_order(draw),
+                mod_binary_reference(U512::widen(draw), n))
+          << curve->name() << " draw=" << draw.to_hex();
+  }
 }
 
 }  // namespace

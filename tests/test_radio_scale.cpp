@@ -466,5 +466,72 @@ TEST_F(RadioScaleTest, SaveLoadRoundTripsThroughTheIndex) {
   EXPECT_TRUE(connected);
 }
 
+// EndpointRegistry::load() keeps its indexes when the restored order is the
+// live one and rebuilds them otherwise. Either way every enumeration must
+// come out as from a registry built fresh by attaching the roster in order.
+struct RegistryView {
+  std::vector<const RadioEndpoint*> attached;
+  std::vector<const RadioEndpoint*> scanners;
+  std::vector<std::pair<BdAddr, const RadioEndpoint*>> candidates;
+
+  bool operator==(const RegistryView&) const = default;
+};
+
+RegistryView view_of(const EndpointRegistry& registry, const std::vector<BdAddr>& addresses) {
+  RegistryView v;
+  registry.for_each_attached([&](RadioEndpoint* ep) { v.attached.push_back(ep); });
+  registry.for_each_inquiry_scanner([&](RadioEndpoint* ep) { v.scanners.push_back(ep); });
+  for (const BdAddr& address : addresses)
+    registry.for_each_candidate(address, [&](RadioEndpoint* ep, EndpointHandle) {
+      v.candidates.emplace_back(address, ep);
+    });
+  return v;
+}
+
+TEST(EndpointRegistryLoad, MatchesAFreshRegistryForEveryRoster) {
+  const BdAddr shared = *BdAddr::parse("00:00:00:00:00:02");
+  FakeEndpoint e0(*BdAddr::parse("00:00:00:00:00:01"), kSecond);
+  FakeEndpoint e1(shared, kSecond);
+  FakeEndpoint e2(shared, kSecond);
+  FakeEndpoint e3(*BdAddr::parse("00:00:00:00:00:03"), kSecond);
+  e3.inquiry_scan_ = false;
+  const std::vector<BdAddr> addresses = {e0.addr_, shared, e3.addr_,
+                                         *BdAddr::parse("00:00:00:00:00:04")};
+  const std::vector<RadioEndpoint*> live = {&e0, &e1, &e2, &e3};
+  const std::vector<std::vector<RadioEndpoint*>> rosters = {
+      live, {&e3, &e1, &e0, &e2}, {&e0, &e2}, {&e2}, {}};
+
+  for (const bool spoofed : {false, true}) {
+    for (const auto& roster : rosters) {
+      EndpointRegistry registry;
+      for (RadioEndpoint* ep : live) registry.attach(ep);
+      // A spoof the registry was not told about: load() must still index
+      // the live address, as a fresh attach does.
+      e0.addr_ = spoofed ? shared : *BdAddr::parse("00:00:00:00:00:01");
+      registry.load(roster);
+
+      EndpointRegistry fresh;
+      for (RadioEndpoint* ep : roster) fresh.attach(ep);
+      EXPECT_EQ(view_of(registry, addresses), view_of(fresh, addresses))
+          << "roster of " << roster.size() << (spoofed ? ", spoofed" : "");
+      EXPECT_EQ(registry.size(), roster.size());
+      for (RadioEndpoint* ep : roster) EXPECT_NE(registry.resolve(registry.handle_of(ep)), nullptr);
+    }
+  }
+}
+
+// An unchanged roster keeps every slot and generation, so handles captured
+// before the load still resolve.
+TEST(EndpointRegistryLoad, UnchangedRosterKeepsHandles) {
+  FakeEndpoint a(*BdAddr::parse("00:00:00:00:00:01"), kSecond);
+  FakeEndpoint b(*BdAddr::parse("00:00:00:00:00:02"), kSecond);
+  EndpointRegistry registry;
+  const EndpointHandle ha = registry.attach(&a);
+  const EndpointHandle hb = registry.attach(&b);
+  registry.load(std::vector<RadioEndpoint*>{&a, &b});
+  EXPECT_EQ(registry.resolve(ha), &a);
+  EXPECT_EQ(registry.resolve(hb), &b);
+}
+
 }  // namespace
 }  // namespace blap::radio

@@ -19,6 +19,7 @@
 #include "crypto/sha256.hpp"
 #include "obs/obs.hpp"
 #include "snapshot/chaos_trial.hpp"
+#include "snapshot/fuzz_trial.hpp"
 #include "snapshot/scenarios.hpp"
 #include "snapshot/snapshot.hpp"
 
@@ -243,6 +244,164 @@ TEST(SnapshotBytes, MidArqUnderLossDigestIsPinned) {
   ASSERT_TRUE(step_until(*s.sim, queued));
   ASSERT_TRUE(s.sim->medium().faults_enabled());
   EXPECT_EQ(digest(Snapshot::capture_relaxed(*s.sim)), "b797255a7bb7801fceb736fe13b7e23c1886cfe3b48d7b8ba1fef41664375848");
+}
+
+// --- fork restore into live storage -----------------------------------------
+// A fork restore writes into the containers the simulation already holds:
+// map nodes, vector elements, optional contexts and string buffers are
+// reused, each element reset first. Each case below dirties a cell with a
+// trial that leaves one kind of state behind, then requires (1) a restore
+// followed by a strict capture to give back the warm bytes exactly, and
+// (2) the next trial to run the same after that restore as after a restore
+// onto a freshly built simulation.
+
+struct Cell {
+  std::function<Scenario()> build;
+  std::function<void(Scenario&)> warm;
+};
+
+struct Next {
+  FuzzStackReport report;
+  bool paired = false;
+  Bytes end_state;
+};
+
+Cell bonded_cell() {
+  return {[] { return build_scenario(41, bonded_cell_params()); }, &bonded_warm_setup};
+}
+
+/// Two legacy (PIN) devices, the headset behind the USB transport.
+Cell legacy_usb_cell() {
+  return {[] {
+            Scenario s;
+            s.sim = std::make_unique<core::Simulation>(43);
+            const auto legacy = [](const std::string& name, const std::string& addr,
+                                   core::TransportKind transport) {
+              core::DeviceSpec spec;
+              spec.name = name;
+              spec.address = *BdAddr::parse(addr);
+              spec.transport = transport;
+              spec.host.simple_pairing = false;
+              spec.host.pin_code = "1234";
+              return spec;
+            };
+            s.target =
+                &s.sim->add_device(legacy("old-phone", "00:00:00:00:00:01", core::TransportKind::kUart));
+            s.accessory =
+                &s.sim->add_device(legacy("old-headset", "00:00:00:00:00:02", core::TransportKind::kUsb));
+            return s;
+          },
+          [](Scenario& s) { s.sim->run_until_idle(); }};
+}
+
+faults::FaultPlan lossy_plan() {
+  faults::FaultPlan plan;
+  plan.seed = 5;
+  plan.loss = 0.3;
+  return plan;
+}
+
+/// Dirty trials, each stopped mid-flight so its state is still held.
+void lossy_ssp_with_popup(Scenario& s) {
+  s.sim->set_fault_plan(lossy_plan());
+  s.target->host().enable_snoop(true);
+  s.attacker->host().pair(s.target->address(), [](hci::Status) {});
+  ASSERT_TRUE(step_until(*s.sim, [&] {
+    return saw_event(*s.target, hci::ev::kUserConfirmationRequest);
+  }));
+}
+
+void services_over_the_bond(Scenario& s) {
+  s.accessory->host().enable_snoop(true);
+  s.accessory->host().connect_hfp(s.target->address(), [](bool) {});
+  s.accessory->host().read_messages(s.target->address(), [](const auto&) {});
+  ASSERT_TRUE(step_until(*s.sim, [&] { return !s.accessory->host().acls().empty(); }));
+  s.sim->run_for(kSecond / 5);
+}
+
+void stack_fuzz_trial(Scenario& s, const Snapshot& warm) {
+  (void)run_fuzz_stack_trial(s, warm, 3, Bytes{7, 20, 0, 3, 0x05, 0x01, 0x00});
+}
+
+void legacy_pairing_under_loss(Scenario& s) {
+  s.sim->set_fault_plan(lossy_plan());
+  s.target->host().enable_snoop(true);
+  s.accessory->host().enable_snoop(true);
+  s.target->host().pair(s.accessory->address(), [](hci::Status) {});
+  ASSERT_TRUE(step_until(*s.sim, [&] {
+    return saw_event(*s.target, hci::ev::kPinCodeRequest) &&
+           saw_event(*s.accessory, hci::ev::kPinCodeRequest);
+  }));
+}
+
+Next next_stack_trial(Scenario& s, const Snapshot& warm) {
+  Next out;
+  out.report = run_fuzz_stack_trial(s, warm, 9, Bytes{2, 4, 1, 2, 3, 4, 7, 40, 3, 2, 9, 9});
+  out.end_state = Snapshot::capture_relaxed(*s.sim).bytes();
+  return out;
+}
+
+Next next_legacy_pairing(Scenario& s, const Snapshot& warm) {
+  Next out;
+  EXPECT_TRUE(warm.restore(*s.sim));
+  s.sim->reseed(9);
+  s.target->host().pair(s.accessory->address(),
+                        [&out](hci::Status st) { out.paired = st == hci::Status::kSuccess; });
+  s.sim->run_for(kWindow);
+  out.end_state = Snapshot::capture_relaxed(*s.sim).bytes();
+  return out;
+}
+
+void expect_same(const Next& reused, const Next& fresh) {
+  EXPECT_EQ(reused.report.restored, fresh.report.restored);
+  EXPECT_EQ(reused.report.ops_applied, fresh.report.ops_applied);
+  EXPECT_EQ(reused.report.events, fresh.report.events);
+  EXPECT_EQ(reused.report.runaway, fresh.report.runaway);
+  EXPECT_EQ(reused.report.drained, fresh.report.drained);
+  EXPECT_EQ(reused.report.virtual_end, fresh.report.virtual_end);
+  EXPECT_EQ(reused.report.violations.size(), fresh.report.violations.size());
+  EXPECT_EQ(reused.paired, fresh.paired);
+  EXPECT_EQ(reused.end_state, fresh.end_state);
+}
+
+void check_fork(const Cell& cell, const std::function<void(Scenario&, const Snapshot&)>& dirty,
+                const std::function<Next(Scenario&, const Snapshot&)>& next) {
+  Scenario s = cell.build();
+  cell.warm(s);
+  std::string why;
+  const auto warm = Snapshot::capture(*s.sim, &why);
+  ASSERT_TRUE(warm.has_value()) << why;
+
+  dirty(s, *warm);
+  ASSERT_TRUE(warm->restore(*s.sim, &why)) << why;
+  const auto again = Snapshot::capture(*s.sim, &why);
+  ASSERT_TRUE(again.has_value()) << why;
+  EXPECT_EQ(again->bytes(), warm->bytes());
+
+  dirty(s, *warm);
+  const Next reused = next(s, *warm);
+  Scenario fresh = cell.build();
+  expect_same(reused, next(fresh, *warm));
+}
+
+const auto kNoWarmArg = [](void (*trial)(Scenario&)) {
+  return [trial](Scenario& s, const Snapshot&) { trial(s); };
+};
+
+TEST(ForkIntoLiveStorage, LossySspPairingWithPopup) {
+  check_fork(bonded_cell(), kNoWarmArg(&lossy_ssp_with_popup), &next_stack_trial);
+}
+
+TEST(ForkIntoLiveStorage, AclL2capMapReadAndSnoop) {
+  check_fork(bonded_cell(), kNoWarmArg(&services_over_the_bond), &next_stack_trial);
+}
+
+TEST(ForkIntoLiveStorage, StackFuzzTrial) {
+  check_fork(bonded_cell(), &stack_fuzz_trial, &next_stack_trial);
+}
+
+TEST(ForkIntoLiveStorage, LegacyPairingOverUsbUnderLoss) {
+  check_fork(legacy_usb_cell(), kNoWarmArg(&legacy_pairing_under_loss), &next_legacy_pairing);
 }
 
 }  // namespace
